@@ -72,8 +72,12 @@ func TestLoadColdThenWarm(t *testing.T) {
 	if warm.HitRatio != 1.0 {
 		t.Errorf("warm hit ratio = %g, want 1.0", warm.HitRatio)
 	}
-	if warm.P50Ms >= cold.P50Ms {
-		t.Errorf("warm p50 %.2fms not below cold p50 %.2fms", warm.P50Ms, cold.P50Ms)
+	// Only the first of the four identical cold jobs computes; the
+	// rest are cache hits, so the cold median is a hit too. The slowest
+	// cold job is the one that computed (or waited on it), and a warm
+	// hit must beat it.
+	if warm.P50Ms >= cold.MaxMs {
+		t.Errorf("warm p50 %.2fms not below the computing cold job's %.2fms", warm.P50Ms, cold.MaxMs)
 	}
 }
 

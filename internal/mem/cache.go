@@ -19,11 +19,45 @@ type Cache struct {
 	Evicts uint64
 }
 
+// cacheLine packs a tag-array entry into 16 bytes: the LRU stamp in
+// the high 62 bits of meta, the dirty bit in bit 1 and the valid bit
+// in bit 0. Two words instead of three keep the default machine's
+// tag arrays a third smaller. Stamps come from the cache's tick, one
+// per probe, so 62 bits never wrap.
 type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+	tag  uint64
+	meta uint64
+}
+
+const (
+	lineValid = 1 << 0
+	lineDirty = 1 << 1
+	lruShift  = 2
+)
+
+func packLine(tag uint64, valid, dirty bool, lru uint64) cacheLine {
+	meta := lru << lruShift
+	if valid {
+		meta |= lineValid
+	}
+	if dirty {
+		meta |= lineDirty
+	}
+	return cacheLine{tag: tag, meta: meta}
+}
+
+func (l *cacheLine) valid() bool { return l.meta&lineValid != 0 }
+func (l *cacheLine) dirty() bool { return l.meta&lineDirty != 0 }
+func (l *cacheLine) lru() uint64 { return l.meta >> lruShift }
+
+// holds reports whether the entry is a valid copy of lineAddr.
+func (l *cacheLine) holds(lineAddr uint64) bool {
+	return l.valid() && l.tag == lineAddr
+}
+
+// touch stamps the entry as most recently used, keeping its state bits.
+func (l *cacheLine) touch(tick uint64) {
+	l.meta = tick<<lruShift | l.meta&(lineValid|lineDirty)
 }
 
 // NewCache builds a cache of the given capacity in bytes with the
@@ -59,11 +93,11 @@ func (c *Cache) set(lineAddr uint64) []cacheLine {
 func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
 	set := c.set(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+		if set[i].holds(lineAddr) {
 			c.tick++
-			set[i].lru = c.tick
+			set[i].touch(c.tick)
 			if markDirty {
-				set[i].dirty = true
+				set[i].meta |= lineDirty
 			}
 			c.Hits++
 			return true
@@ -77,7 +111,7 @@ func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
 func (c *Cache) Contains(lineAddr uint64) bool {
 	set := c.set(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+		if set[i].holds(lineAddr) {
 			return true
 		}
 	}
@@ -91,30 +125,30 @@ func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty,
 	c.tick++
 	// Refresh an existing copy in place.
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].lru = c.tick
+		if set[i].holds(lineAddr) {
+			set[i].touch(c.tick)
 			if dirty {
-				set[i].dirty = true
+				set[i].meta |= lineDirty
 			}
 			return 0, false, false
 		}
 	}
 	// Prefer an invalid way.
 	for i := range set {
-		if !set[i].valid {
-			set[i] = cacheLine{tag: lineAddr, valid: true, dirty: dirty, lru: c.tick}
+		if !set[i].valid() {
+			set[i] = packLine(lineAddr, true, dirty, c.tick)
 			return 0, false, false
 		}
 	}
 	// Evict the LRU way.
 	vi := 0
 	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[vi].lru {
+		if set[i].lru() < set[vi].lru() {
 			vi = i
 		}
 	}
-	victim, victimDirty = set[vi].tag, set[vi].dirty
-	set[vi] = cacheLine{tag: lineAddr, valid: true, dirty: dirty, lru: c.tick}
+	victim, victimDirty = set[vi].tag, set[vi].dirty()
+	set[vi] = packLine(lineAddr, true, dirty, c.tick)
 	c.Evicts++
 	return victim, victimDirty, true
 }
@@ -125,8 +159,8 @@ func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty,
 func (c *Cache) Invalidate(lineAddr uint64) (present, wasDirty bool) {
 	set := c.set(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			present, wasDirty = true, set[i].dirty
+		if set[i].holds(lineAddr) {
+			present, wasDirty = true, set[i].dirty()
 			set[i] = cacheLine{}
 			return present, wasDirty
 		}
@@ -140,8 +174,8 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, wasDirty bool) {
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
 	set := c.set(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].dirty = true
+		if set[i].holds(lineAddr) {
+			set[i].meta |= lineDirty
 			return true
 		}
 	}
@@ -153,8 +187,8 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 func (c *Cache) Clean(lineAddr uint64) {
 	set := c.set(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].dirty = false
+		if set[i].holds(lineAddr) {
+			set[i].meta &^= lineDirty
 			return
 		}
 	}
@@ -165,8 +199,8 @@ func (c *Cache) Clean(lineAddr uint64) {
 func (c *Cache) Dirty(lineAddr uint64) bool {
 	set := c.set(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return set[i].dirty
+		if set[i].holds(lineAddr) {
+			return set[i].dirty()
 		}
 	}
 	return false
@@ -176,8 +210,8 @@ func (c *Cache) Dirty(lineAddr uint64) bool {
 // coherence walk).
 func (c *Cache) ForEachLine(fn func(lineAddr uint64, dirty bool)) {
 	for i := range c.arr {
-		if c.arr[i].valid {
-			fn(c.arr[i].tag, c.arr[i].dirty)
+		if c.arr[i].valid() {
+			fn(c.arr[i].tag, c.arr[i].dirty())
 		}
 	}
 }
@@ -186,7 +220,7 @@ func (c *Cache) ForEachLine(fn func(lineAddr uint64, dirty bool)) {
 func (c *Cache) ValidLines() int {
 	n := 0
 	for i := range c.arr {
-		if c.arr[i].valid {
+		if c.arr[i].valid() {
 			n++
 		}
 	}

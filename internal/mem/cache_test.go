@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCacheHitAfterInsert(t *testing.T) {
@@ -165,5 +167,28 @@ func TestPropertyInsertedLineIsPresentUntilEvicted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The packed tag-array entry must stay two words and round-trip every
+// state-bit combination and the widest LRU stamp through a checkpoint.
+func TestCacheLinePackingRoundTrips(t *testing.T) {
+	if sz := unsafe.Sizeof(cacheLine{}); sz != 16 {
+		t.Errorf("cacheLine is %d bytes, want 16", sz)
+	}
+	const maxLRU = 1<<(64-lruShift) - 1
+	c := NewCache(4*64, 4, 64) // 1 set, 4 ways
+	st := CacheState{Tick: maxLRU, Lines: []CacheLineState{
+		{Tag: 1, Valid: true, Dirty: true, LRU: maxLRU},
+		{Tag: 2, Valid: true, LRU: 7},
+		{Tag: 3, Dirty: true, LRU: 1},
+		{},
+	}}
+	c.Restore(st)
+	if got := c.State(); !reflect.DeepEqual(got, st) {
+		t.Errorf("round trip = %+v, want %+v", got, st)
+	}
+	if !c.Dirty(1) || c.Dirty(2) || c.Contains(3) {
+		t.Error("restored state bits read back wrong")
 	}
 }

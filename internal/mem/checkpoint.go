@@ -42,7 +42,7 @@ func (c *Cache) State() CacheState {
 		Lines: make([]CacheLineState, len(c.arr)),
 	}
 	for i, l := range c.arr {
-		st.Lines[i] = CacheLineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, LRU: l.lru}
+		st.Lines[i] = CacheLineState{Tag: l.tag, Valid: l.valid(), Dirty: l.dirty(), LRU: l.lru()}
 	}
 	return st
 }
@@ -55,7 +55,7 @@ func (c *Cache) Restore(st CacheState) {
 	}
 	c.tick, c.Hits, c.Misses, c.Evicts = st.Tick, st.Hits, st.Misses, st.Evicts
 	for i, l := range st.Lines {
-		c.arr[i] = cacheLine{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, lru: l.LRU}
+		c.arr[i] = packLine(l.Tag, l.Valid, l.Dirty, l.LRU)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -123,6 +124,19 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad spec status = %d, want 400", resp.StatusCode)
+	}
+
+	// A machine the memory system cannot build -> 400 naming the
+	// rule, not an admitted job that panics in the worker.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"ed","threads":[1],"cores":21}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "L3Banks") {
+		t.Errorf("cores 21: status %d body %q, want 400 naming L3Banks", resp.StatusCode, body)
 	}
 
 	// Unknown field -> 400 (spec typos must not silently no-op).

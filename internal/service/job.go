@@ -88,6 +88,12 @@ func (s *Spec) normalize() error {
 	if _, err := s.freq(); err != nil {
 		return err
 	}
+	// The machine a job would build must be buildable: a core count
+	// the L3 banks cannot be placed around is rejected here, not by a
+	// panic in the worker.
+	if err := s.options().Cfg.Mem.Validate(); err != nil {
+		return err
+	}
 	for _, n := range s.Threads {
 		if n < 1 || n > s.Cores*machine.DefaultConfig().SMTContexts {
 			return fmt.Errorf("bad thread count %d for %d cores", n, s.Cores)

@@ -113,6 +113,7 @@ func TestSpecValidation(t *testing.T) {
 		{Workload: "pagemine", Threads: []int{1}, Mode: "warp"},
 		{Workload: "pagemine", Threads: []int{1}, Policies: []string{"nosuch"}},
 		{Workload: "pagemine", Threads: []int{99}, Cores: 8},
+		{Workload: "pagemine", Threads: []int{1}, Cores: 21}, // not a multiple of L3Banks
 		{Experiment: "nosuchfig"},
 		{Experiment: "fig2", Workload: "pagemine"},
 		{Kind: "weird", Workload: "pagemine", Threads: []int{1}},

@@ -1,3 +1,8 @@
+//go:build go1.23
+
+// This file needs go1.23 for package iter. The constraint raises the
+// file's language version while the module's go line stays at 1.22.
+
 // Package sim implements a deterministic, process-oriented
 // discrete-event simulation kernel.
 //
@@ -12,13 +17,17 @@
 // higher layers (internal/mem, internal/cpu) and are expressed purely
 // in terms of WaitUntil/Park/Wake.
 //
-// One Engine simulates one execution on one host goroutine chain; it
-// is not safe for concurrent use. Host-level parallelism belongs one
-// layer up (internal/runner), across independent engines.
+// Each process runs as a coroutine (iter.Pull) that the engine resumes
+// directly, so a dispatch is one coroutine switch rather than a
+// goroutine handoff through the scheduler. One Engine simulates one
+// execution on the goroutine that calls Run; it is not safe for
+// concurrent use. Host-level parallelism belongs one layer up
+// (internal/runner), across independent engines.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"fdt/internal/trace"
@@ -48,7 +57,6 @@ type Engine struct {
 	// engine's lifetime — the "simulator throughput" numerator.
 	dispatched uint64
 	live       map[*Proc]struct{}
-	fault      *procFault
 	// stepHook, when non-nil, is invoked before each event dispatch.
 	// Used by tests to observe scheduling order.
 	stepHook func(t uint64, p *Proc)
@@ -57,13 +65,6 @@ type Engine struct {
 	// disabled case a single predictable branch in the dispatch loop.
 	tracer   *trace.Tracer
 	simTrace bool
-}
-
-// procFault records a panic raised inside a process body so Run can
-// re-raise it on the caller's goroutine.
-type procFault struct {
-	proc  *Proc
-	value any
 }
 
 // NewEngine returns an engine with the clock at cycle 0 and no
@@ -78,7 +79,7 @@ func NewEngine() *Engine {
 
 // NewEngineAt returns an engine whose clock starts at cycle now — the
 // restore half of the checkpoint protocol. A restored simulation's
-// processes are spawned fresh (goroutine stacks cannot be
+// processes are spawned fresh (coroutine stacks cannot be
 // checkpointed), which is why checkpoints are only taken at quiescent
 // points where no process is mid-flight.
 func NewEngineAt(now uint64) *Engine {
@@ -225,27 +226,31 @@ func (e *Engine) next() *Proc {
 	}
 }
 
-// Proc is a simulated process: a goroutine that cooperates with the
+// Proc is a simulated process: a coroutine that cooperates with the
 // engine through WaitUntil, Advance, Park and Wake. All Proc methods
 // must be called from the process's own body function, except Wake,
 // which is called by whichever process is currently running.
 type Proc struct {
 	eng  *Engine
 	name string
-	// baton is the single rendezvous channel between the engine and
-	// the process. Exactly one side holds the baton at a time and the
-	// two strictly alternate — engine sends to resume the process,
-	// process sends to yield back — so one unbuffered channel replaces
-	// the previous resume/yield pair and halves the channel operations
-	// per handoff.
-	baton  chan struct{}
-	parked bool
-	done   bool
+	// resume runs the body until its next yield (or its end); suspend
+	// is the coroutine's yield, handing control back to the engine,
+	// and reports false once stop has been called; stop unwinds a
+	// suspended body. Engine and process strictly alternate, so model
+	// state needs no host-level locking.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
+	parked  bool
+	done    bool
 	// track and parkedAt support kernel-level tracing; both are
 	// maintained only while the engine's simTrace flag is set.
 	track    trace.TrackID
 	parkedAt uint64
 }
+
+// halted is the panic value that unwinds a process body after stop.
+type halted struct{}
 
 // Name reports the diagnostic name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -254,43 +259,51 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() uint64 { return p.eng.now }
 
 // Spawn creates a process that will first run at the current simulated
-// time. The body runs on its own goroutine but only while the engine
-// has handed it the baton, so body code may freely touch shared model
-// state without host-level locking.
+// time. The body runs as a coroutine and only while the engine has
+// resumed it, so body code may freely touch shared model state without
+// host-level locking.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:   e,
-		name:  name,
-		baton: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	if e.simTrace {
 		p.track = e.tracer.Track(name)
 	}
 	e.live[p] = struct{}{}
-	go func() {
-		<-p.baton
-		defer func() {
-			if r := recover(); r != nil {
-				// Surface model-code panics from the engine's Run so
-				// they carry the process name and reach the caller's
-				// goroutine instead of crashing the host process.
-				e.fault = &procFault{proc: p, value: r}
-			}
-			p.done = true
-			delete(e.live, p)
-			p.baton <- struct{}{}
-		}()
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.suspend = yield
 		body(p)
-	}()
+		p.done = true
+		delete(e.live, p)
+	})
 	e.schedule(e.now, p)
 	return p
 }
 
-// yield hands the baton back to the engine and blocks until the
-// engine resumes this process.
+// yield hands control back to the engine and returns when the engine
+// resumes this process. If the engine stops the process instead, yield
+// unwinds the body.
 func (p *Proc) yield() {
-	p.baton <- struct{}{}
-	<-p.baton
+	if !p.suspend(struct{}{}) {
+		panic(halted{})
+	}
+}
+
+// halt unwinds a suspended process body. Panics raised on the way out,
+// the halted sentinel included, are dropped: halt only runs while Run
+// is already failing with its own diagnostic.
+func (p *Proc) halt() {
+	defer func() { _ = recover() }()
+	p.stop()
+}
+
+// haltAll unwinds every live process so none outlives a failed Run.
+func (e *Engine) haltAll() {
+	for len(e.live) > 0 {
+		for p := range e.live {
+			delete(e.live, p)
+			p.done = true
+			p.halt()
+		}
+	}
 }
 
 // WaitUntil blocks the process until the simulated clock reaches t.
@@ -351,8 +364,23 @@ func (e *Engine) wake(q *Proc) {
 
 // Run dispatches events until none remain. It panics if live processes
 // remain parked with an empty event queue (model deadlock), naming the
-// stuck processes.
+// stuck processes, and re-raises a panic from a process body with the
+// process's name. Either way every remaining process is stopped first.
 func (e *Engine) Run() {
+	// cur is the process holding control, for attributing its panic.
+	var cur *Proc
+	defer func() {
+		if cur == nil {
+			return
+		}
+		r := recover()
+		delete(e.live, cur)
+		cur.done = true
+		e.haltAll()
+		if r != nil {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", cur.name, r))
+		}
+	}()
 	for {
 		p := e.next()
 		if p == nil {
@@ -370,13 +398,9 @@ func (e *Engine) Run() {
 				Cycle: e.now, Track: p.track, Kind: trace.Instant, Name: "dispatch",
 			})
 		}
-		p.baton <- struct{}{}
-		<-p.baton
-		if e.fault != nil {
-			f := e.fault
-			e.fault = nil
-			panic(fmt.Sprintf("sim: process %q panicked: %v", f.proc.name, f.value))
-		}
+		cur = p
+		p.resume()
+		cur = nil
 	}
 	if len(e.live) > 0 {
 		names := make([]string, 0, len(e.live))
@@ -384,6 +408,7 @@ func (e *Engine) Run() {
 			names = append(names, p.name)
 		}
 		sort.Strings(names)
+		e.haltAll()
 		panic(fmt.Sprintf("sim: deadlock: %d processes parked forever: %v", len(names), names))
 	}
 }

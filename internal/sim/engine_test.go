@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSingleProcAdvances(t *testing.T) {
@@ -259,5 +261,77 @@ func TestPropertyClockMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// settledGoroutines polls runtime.NumGoroutine until it drops to want
+// or a deadline passes, returning the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// runExpectingPanic runs e and returns the panic value Run raised.
+func runExpectingPanic(t *testing.T, e *Engine) (r any) {
+	t.Helper()
+	defer func() { r = recover() }()
+	e.Run()
+	t.Fatal("Run returned without panicking")
+	return nil
+}
+
+// A failed Run must not strand suspended processes: every parked,
+// queued and never-started process is stopped, and its body's defers
+// run as it unwinds.
+func TestFailedRunLeaksNoProcesses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(e *Engine, ran *bool)
+		want  string
+	}{
+		{"deadlock", func(e *Engine, _ *bool) {
+			e.Spawn("stuck", func(p *Proc) { p.Advance(3); p.Park() })
+		}, "sim: deadlock: 9 processes parked forever:"},
+		{"process panic", func(e *Engine, ran *bool) {
+			e.Spawn("faulty", func(p *Proc) {
+				p.Advance(3)
+				p.eng.Spawn("unstarted", func(*Proc) { *ran = true })
+				panic("boom")
+			})
+			e.Spawn("late", func(p *Proc) { p.Advance(10) })
+		}, `sim: process "faulty" panicked: boom`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			unwound, ran := 0, false
+			for i := 0; i < 8; i++ {
+				e.Spawn(fmt.Sprintf("parked%d", i), func(p *Proc) {
+					defer func() { unwound++ }()
+					p.Park()
+				})
+			}
+			tc.fault(e, &ran)
+			msg := fmt.Sprint(runExpectingPanic(t, e))
+			if !strings.HasPrefix(msg, tc.want) {
+				t.Errorf("panic = %q, want prefix %q", msg, tc.want)
+			}
+			if ran {
+				t.Error("a stopped, never-dispatched process body ran")
+			}
+			if unwound != 8 {
+				t.Errorf("%d of 8 parked bodies unwound", unwound)
+			}
+			if e.Live() != 0 {
+				t.Errorf("live = %d after failed Run, want 0", e.Live())
+			}
+			if n := settledGoroutines(base); n != base {
+				t.Errorf("goroutines = %d after failed Run, want baseline %d", n, base)
+			}
+		})
 	}
 }
