@@ -38,6 +38,7 @@ import (
 	"fdt/internal/core"
 	"fdt/internal/experiments"
 	"fdt/internal/machine"
+	"fdt/internal/runflags"
 	"fdt/internal/runner"
 	"fdt/internal/workloads"
 )
@@ -60,21 +61,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonDir   = fs.String("json", "", "directory to write per-experiment JSON files into")
 		parallel  = fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 		cacheDir  = fs.String("cache-dir", "", "disk run-store directory shared with fdtd (warm runs are loaded, new runs persisted)")
-		useSample = fs.Bool("sampled", false, "execute kernels in sampled mode (steady-state fast-forward; see DESIGN.md Section 11)")
-		sampleTol = fs.Float64("sample-tol", 0, "sampled-mode stability tolerance (0 = default)")
-		sampleWin = fs.Int("sample-window", 0, "sampled-mode detailed-window length in iterations (0 = default)")
-		budget    = fs.Float64("power-budget", 0, "average-chip-power cap in nominal-active-core units (0 = unconstrained; implies -freq-ladder default)")
-		ladderStr = fs.String("freq-ladder", "", "P-state ladder: \"default\" or comma-separated MHz values, nominal first (empty = single-frequency machine)")
 	)
+	rf := runflags.Register(fs, runflags.Sampled|runflags.SampleTuning|runflags.Power)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	ladder, err := machine.ResolveDVFS(*budget, *ladderStr)
+	spec, _, err := rf.Spec("", 0)
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtreport:", err)
 		return 2
 	}
-	dvfs := *budget > 0 || !ladder.Trivial()
 	if *corunPair != "" {
 		if _, _, err := workloads.ParsePair(*corunPair); err != nil {
 			fmt.Fprintln(stderr, "fdtreport:", err)
@@ -104,22 +100,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *fast {
 		o.SweepThreads = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32}
 	}
-	if dvfs {
-		// The ladder and budget flow to every model-driven experiment
-		// via Options.Power; measurement-driven runners (hill-climbing,
-		// hybrid probes) and the co-run family execute the ladder at
-		// nominal frequency and simply gain energy accounting. The
-		// pareto family pins its own ladder/budget grid regardless.
-		o.Cfg = o.Cfg.WithFreq(ladder)
-		pp := core.PowerParams{Budget: *budget, LockState: -1}
-		o.Power = &pp
-	}
-	if *useSample {
-		o.Mode = core.SampledMode()
-		o.Mode.Params.Tol = *sampleTol
-		o.Mode.Params.WindowIters = *sampleWin
-		o.Mode.Params = o.Mode.Params.WithDefaults()
-	}
+	// The ladder and budget flow to every model-driven experiment via
+	// Options.Power; measurement-driven runners (hill-climbing, hybrid
+	// probes) and the co-run family execute the ladder at nominal
+	// frequency and simply gain energy accounting. The pareto family
+	// pins its own ladder/budget grid regardless.
+	o.Cfg, o.Mode, o.Power = spec.Cfg, spec.Mode, spec.Power
 
 	// The experiment catalogue is shared with the fdtd daemon
 	// (experiments.Registry), so a figure regenerated here and one

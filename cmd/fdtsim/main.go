@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fdtsim -workload pagemine -policy sat+bat
-//	fdtsim -workload ed -policy static -threads 32
+//	fdtsim -workload ed -policy static:8
 //	fdtsim -workload convert -policy bat -bandwidth 0.5
 //	fdtsim -workload ed -policy bat -trace ed.trace.json
 //	fdtsim -workload isort -check
@@ -30,6 +30,7 @@ import (
 	"fdt/internal/core"
 	"fdt/internal/invariant"
 	"fdt/internal/machine"
+	"fdt/internal/runflags"
 	"fdt/internal/trace"
 	"fdt/internal/workloads"
 )
@@ -45,44 +46,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdtsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload   = fs.String("workload", "pagemine", "workload name (see -list)")
-		corun      = fs.String("corun", "", "co-schedule two workloads as \"a+b\" (overrides -workload; see -list)")
-		mapping    = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
-		policy     = fs.String("policy", "sat+bat", "threading policy: sat, bat, sat+bat, static")
-		threads    = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
-		cores      = fs.Int("cores", 32, "cores on the simulated chip")
-		bandwidth  = fs.Float64("bandwidth", 1.0, "off-chip bandwidth scale factor")
-		verify     = fs.Bool("verify", true, "verify the workload's computed results")
-		list       = fs.Bool("list", false, "list workloads and exit")
-		dumpCtrs   = fs.Bool("counters", false, "dump the machine's counter set")
-		sparkline  = fs.Bool("sparkline", false, "sample the run and print bus/active-core sparklines")
-		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
-		check      = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
-		useSample  = fs.Bool("sampled", false, "execute kernels in sampled mode (steady-state fast-forward; see DESIGN.md Section 11)")
-		sampleTol  = fs.Float64("sample-tol", 0, "sampled-mode stability tolerance (0 = default)")
-		sampleWin  = fs.Int("sample-window", 0, "sampled-mode detailed-window length in iterations (0 = default)")
-		probeIters = fs.Int("probe-iters", 0, "probe chunk length in iterations for -policy hillclimb/hybrid (0 = default)")
-		minGain    = fs.Float64("min-gain", 0, "fractional speedup a probed size needs to win, for -policy hillclimb/hybrid (0 = default)")
-		budget     = fs.Float64("power-budget", 0, "average-chip-power cap in nominal-active-core units (0 = unconstrained; implies -freq-ladder default)")
-		ladderStr  = fs.String("freq-ladder", "", "P-state ladder: \"default\" or comma-separated MHz values, nominal first (empty = single-frequency machine)")
+		workload  = fs.String("workload", "pagemine", "workload name (see -list)")
+		corun     = fs.String("corun", "", "co-schedule two workloads as \"a+b\" (overrides -workload; see -list)")
+		mapping   = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
+		policy    = fs.String("policy", "sat+bat", "threading policy: "+core.PolicyGrammar())
+		verify    = fs.Bool("verify", true, "verify the workload's computed results")
+		list      = fs.Bool("list", false, "list workloads and exit")
+		dumpCtrs  = fs.Bool("counters", false, "dump the machine's counter set")
+		sparkline = fs.Bool("sparkline", false, "sample the run and print bus/active-core sparklines")
+		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
+		check     = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
 	)
+	rf := runflags.Register(fs, runflags.All)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *probeIters < 0 {
-		fmt.Fprintf(stderr, "fdtsim: -probe-iters %d, want >= 0 (0 = default)\n", *probeIters)
-		return 2
+	var instruments core.Opt
+	if *check {
+		instruments |= core.OptCheck
 	}
-	if *minGain < 0 || *minGain >= 1 {
-		fmt.Fprintf(stderr, "fdtsim: -min-gain %g, want in [0, 1)\n", *minGain)
-		return 2
+	if *traceOut != "" {
+		instruments |= core.OptTrace
 	}
-	ladder, err := machine.ResolveDVFS(*budget, *ladderStr)
+	if *corun != "" {
+		instruments |= core.OptCorun
+	}
+	spec, note, err := rf.Spec(*policy, instruments)
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtsim:", err)
 		return 2
 	}
-	dvfs := *budget > 0 || !ladder.Trivial()
 
 	if *list {
 		printList(stdout)
@@ -98,133 +91,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	hillClimb, hybrid := false, false
-	var pol core.Policy
-	switch strings.ToLower(*policy) {
-	case "hillclimb", "hill-climb":
-		hillClimb = true
-	case "hybrid":
-		hybrid = true
-	default:
-		var err error
-		pol, err = parsePolicy(*policy, *threads)
-		if err != nil {
-			fmt.Fprintln(stderr, "fdtsim:", err)
-			return 2
-		}
-	}
-	if dvfs && (hillClimb || hybrid) {
-		fmt.Fprintf(stderr, "fdtsim: -policy %s does not support -power-budget/-freq-ladder (its probes time real chunks at nominal frequency)\n", *policy)
-		return 2
+	if note != "" {
+		fmt.Fprintln(stdout, "note:", note)
 	}
 
-	// Invariant accounting, tracing and hill-climb probing all need
-	// every cycle simulated; they win over -sampled.
-	md := core.ExactMode()
-	if *useSample {
-		switch {
-		case *check:
-			fmt.Fprintln(stdout, "note: -check forces exact execution (invariant accounting needs every cycle simulated)")
-		case *traceOut != "":
-			fmt.Fprintln(stdout, "note: -trace forces exact execution (a golden trace must record every event)")
-		case hillClimb:
-			fmt.Fprintln(stdout, "note: -policy hillclimb forces exact execution (its probes time real chunks)")
-		case hybrid:
-			fmt.Fprintln(stdout, "note: -policy hybrid forces exact execution (its refinement probes time real chunks)")
-		default:
-			md = core.SampledMode()
-			md.Params.Tol = *sampleTol
-			md.Params.WindowIters = *sampleWin
-			md.Params = md.Params.WithDefaults()
+	// Observers attach to the run's fresh machine before the workload
+	// is built.
+	var (
+		m       *machine.Machine
+		samples *machine.SampleLog
+		tr      *trace.Tracer
+		ck      *invariant.Checker
+	)
+	instrument := func(mm *machine.Machine) {
+		m = mm
+		if *sparkline {
+			samples = m.StartSampler(0)
 		}
-	}
-
-	cfg := machine.DefaultConfig().WithCores(*cores).WithBandwidth(*bandwidth).WithFreq(ladder)
-	m := machine.MustNew(cfg)
-	var samples *machine.SampleLog
-	if *sparkline {
-		samples = m.StartSampler(0)
-	}
-	var tr *trace.Tracer
-	if *traceOut != "" {
-		tr = trace.New(1<<19, trace.CatMem|trace.CatSync|trace.CatCtl)
-		m.AttachTracer(tr)
-	}
-	var ck *invariant.Checker
-	if *check {
-		ck = invariant.New()
-		m.AttachChecker(ck)
+		if *traceOut != "" {
+			tr = trace.New(1<<19, trace.CatMem|trace.CatSync|trace.CatCtl)
+			m.AttachTracer(tr)
+		}
+		if *check {
+			ck = invariant.New()
+			m.AttachChecker(ck)
+		}
 	}
 
 	if *corun != "" {
-		if hillClimb || hybrid {
-			fmt.Fprintf(stderr, "fdtsim: -policy %s does not support -corun (its probes own the whole machine)\n", *policy)
-			return 2
-		}
-		if dvfs {
-			fmt.Fprintln(stderr, "fdtsim: -corun does not support -power-budget/-freq-ladder (per-team power attribution is not modeled)")
-			return 2
-		}
-		return runCorun(m, *corun, *mapping, pol, md, *verify, *dumpCtrs, ck, samples, stdout, stderr)
+		instrument(machine.MustNew(spec.Cfg))
+		return runCorun(m, *corun, *mapping, spec, *verify, *dumpCtrs, ck, samples, stdout, stderr)
 	}
 
-	hc := core.HillClimb{ProbeIters: *probeIters, MinGain: *minGain}
-	hy := core.Hybrid{HP: core.HybridParams{ProbeIters: *probeIters, MinGain: *minGain}}
-	pp := core.PowerParams{Budget: *budget, LockState: -1}
-	// Instrumented runs (sparklines, tracing, invariants, counter dumps)
-	// need the machine built here, with the observers attached; plain
-	// runs route through the keyed run cache so repeated invocations in
-	// one process (and the experiment figures) share the simulation.
-	instrumented := *sparkline || *traceOut != "" || *check || *dumpCtrs
+	// Plain runs go through the keyed run cache so repeated invocations
+	// in one process (and the experiment figures) share the simulation;
+	// instrumented runs (sparklines, tracing, invariants, counter dumps)
+	// must simulate on the machine the observers watch.
 	var w core.Workload
-	var res core.RunResult
-	if instrumented {
-		w = info.Factory(m)
-		switch {
-		case hillClimb:
-			res = hc.Run(m, w)
-		case hybrid:
-			res = hy.Run(m, w)
-		default:
-			ctl := core.NewController(pol)
-			ctl.Mode = md
-			if dvfs {
-				ctl.Power = &pp
-			}
-			res = ctl.Run(m, w)
-		}
-	} else {
-		f := func(mm *machine.Machine) core.Workload {
-			w = info.Factory(mm)
-			return w
-		}
-		switch {
-		case hillClimb:
-			res = core.RunHillClimbKeyed(cfg, info.Name, f, hc)
-		case hybrid:
-			res = core.RunHybridKeyed(cfg, info.Name, f, hy)
-		case dvfs:
-			res = core.RunPolicyBudgetKeyedMode(cfg, info.Name, f, pol, pp, md)
-		default:
-			res = core.RunPolicyKeyedMode(cfg, info.Name, f, pol, md)
-		}
+	spec.Factory = func(mm *machine.Machine) core.Workload {
+		instrument(mm)
+		w = info.Factory(mm)
+		return w
 	}
+	if !(*sparkline || *traceOut != "" || *check || *dumpCtrs) {
+		spec.Workload = info.Name
+	}
+	res := core.Run(spec)
 
 	fmt.Fprintf(stdout, "workload   %s (%s)\n", res.Workload, info.Class)
 	fmt.Fprintf(stdout, "policy     %s\n", res.Policy)
-	if dvfs {
-		names := make([]string, len(ladder.States))
-		for i, s := range ladder.States {
-			names[i] = s.Name
-		}
-		budgetStr := "unconstrained"
-		if *budget > 0 {
-			budgetStr = fmt.Sprintf("%.2f", *budget)
-		}
-		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth, ladder %s, budget %s\n",
-			*cores, *bandwidth, strings.Join(names, ">"), budgetStr)
+	if l := runflags.Ladder(spec); l != "" {
+		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth, %s\n", rf.Cores, rf.Bandwidth, l)
 	} else {
-		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth\n", *cores, *bandwidth)
+		fmt.Fprintf(stdout, "machine    %d cores, %.2gx bandwidth\n", rf.Cores, rf.Bandwidth)
 	}
 	fmt.Fprintf(stdout, "exec time  %d cycles\n", res.TotalCycles)
 	fmt.Fprintf(stdout, "power      %.2f avg active cores\n", res.AvgActiveCores)
@@ -258,8 +177,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		meta := map[string]string{
 			"workload":     res.Workload,
 			"policy":       res.Policy,
-			"cores":        fmt.Sprintf("%d", *cores),
-			"bandwidth":    fmt.Sprintf("%g", *bandwidth),
+			"cores":        fmt.Sprintf("%d", rf.Cores),
+			"bandwidth":    fmt.Sprintf("%g", rf.Bandwidth),
 			"total_cycles": fmt.Sprintf("%d", res.TotalCycles),
 		}
 		if err := writeChromeFile(*traceOut, tr, meta); err != nil {
@@ -312,7 +231,7 @@ func writeChromeFile(path string, tr *trace.Tracer, meta map[string]string) erro
 // thread team under the mapping, each with an independent controller
 // of the requested policy — and prints the makespan plus a per-tenant
 // report.
-func runCorun(m *machine.Machine, pair, mapping string, pol core.Policy, md core.Mode,
+func runCorun(m *machine.Machine, pair, mapping string, spec core.RunSpec,
 	verify, dumpCtrs bool, ck *invariant.Checker, samples *machine.SampleLog, stdout, stderr io.Writer) int {
 	a, b, err := workloads.ParsePair(pair)
 	if err != nil {
@@ -326,9 +245,12 @@ func runCorun(m *machine.Machine, pair, mapping string, pol core.Policy, md core
 	}
 
 	// Wrap the factories to keep the built instances for -verify
-	// (RunCorunOn instantiates them serially).
+	// (RunCorunOn instantiates them serially). The conflict table has
+	// already rejected the probing drivers, so the driver is a
+	// Controller.
+	ctl := spec.Driver.(*core.Controller)
 	var built []core.Workload
-	spec := func(info workloads.Info) core.TeamSpec {
+	team := func(info workloads.Info) core.TeamSpec {
 		return core.TeamSpec{
 			Workload: info.Name,
 			Factory: func(mm *machine.Machine) core.Workload {
@@ -336,17 +258,18 @@ func runCorun(m *machine.Machine, pair, mapping string, pol core.Policy, md core
 				built = append(built, w)
 				return w
 			},
-			Policy: pol,
+			Policy:  ctl.Policy,
+			Monitor: ctl.Monitor,
 		}
 	}
-	res, err := core.RunCorunOn(m, mp, []core.TeamSpec{spec(a), spec(b)}, md)
+	res, err := core.RunCorunOn(m, mp, []core.TeamSpec{team(a), team(b)}, spec.Mode)
 	if err != nil {
 		fmt.Fprintln(stderr, "fdtsim:", err)
 		return 2
 	}
 
 	fmt.Fprintf(stdout, "corun      %s + %s (mapping %s)\n", a.Name, b.Name, res.Mapping)
-	fmt.Fprintf(stdout, "policy     %s\n", pol.Name())
+	fmt.Fprintf(stdout, "policy     %s\n", ctl.Policy.Name())
 	fmt.Fprintf(stdout, "machine    %d cores\n", m.Cfg.Mem.Cores)
 	fmt.Fprintf(stdout, "makespan   %d cycles\n", res.TotalCycles)
 	fmt.Fprintf(stdout, "power      %.2f avg active cores (whole machine)\n", res.AvgActiveCores)
@@ -424,14 +347,7 @@ func printList(stdout io.Writer) {
 	fmt.Fprintln(stdout, "\nCOMBINATORS")
 	fmt.Fprintf(stdout, "  %-10s %s\n", "corun", "co-schedule two workloads as concurrent teams: -corun a+b (e.g. pagemine+mg)")
 	fmt.Fprintln(stdout, "\nPOLICIES (-policy)")
-	for _, p := range [][2]string{
-		{"sat", "synchronization-aware threading: Eq. 3 from trained critical-section time"},
-		{"bat", "bandwidth-aware threading: Eq. 5 from trained bus utilization"},
-		{"sat+bat", "combined FDT: min of both estimates, Eq. 7 (aliases: combined, fdt)"},
-		{"static", "fixed thread count: -threads N (0 = all cores)"},
-		{"hillclimb", "model-free baseline: times real chunks and climbs to a local optimum"},
-		{"hybrid", "model seed + bounded measured probes, falls back to pure measurement on model breakdown"},
-	} {
+	for _, p := range core.PolicyList() {
 		fmt.Fprintf(stdout, "  %-10s %s\n", p[0], p[1])
 	}
 	fmt.Fprintln(stdout, "\nMAPPINGS (-mapping, with -corun)")
@@ -441,19 +357,4 @@ func printList(stdout io.Writer) {
 	fmt.Fprintln(stdout, "\nMODES")
 	fmt.Fprintf(stdout, "  %-10s %s\n", "exact", "every cycle simulated (default)")
 	fmt.Fprintf(stdout, "  %-10s %s\n", "sampled", "steady-state fast-forward: -sampled, tuned by -sample-tol/-sample-window")
-}
-
-func parsePolicy(name string, threads int) (core.Policy, error) {
-	switch strings.ToLower(name) {
-	case "sat":
-		return core.SAT{}, nil
-	case "bat":
-		return core.BAT{}, nil
-	case "sat+bat", "combined", "fdt":
-		return core.Combined{}, nil
-	case "static":
-		return core.Static{N: threads}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want sat, bat, sat+bat or static)", name)
-	}
 }

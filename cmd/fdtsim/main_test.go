@@ -40,7 +40,8 @@ func TestBadInvocations(t *testing.T) {
 		{"-workload", "nosuch"},
 		{"-policy", "nosuch"},
 		{"-nosuchflag"},
-		{"-threads", "notanumber"},
+		{"-policy", "static:x"},
+		{"-bandwidth", "0"},
 		{"-corun", "nosuch+mg"},
 		{"-corun", "pagemine"},
 		{"-corun", "pagemine+mg", "-mapping", "nosuch"},
@@ -72,7 +73,7 @@ func TestRunReportAndCheck(t *testing.T) {
 		t.Skip("full simulated run")
 	}
 	var out, errb bytes.Buffer
-	args := []string{"-workload", "pagemine", "-policy", "static", "-threads", "4",
+	args := []string{"-workload", "pagemine", "-policy", "static:4",
 		"-cores", "8", "-check", "-sparkline", "-counters"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
@@ -127,7 +128,7 @@ func TestHybridRunReport(t *testing.T) {
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("-sampled exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "note: -policy hybrid forces exact execution") {
+	if !strings.Contains(out.String(), "note: policy hybrid forces exact execution") {
 		t.Errorf("missing exact-execution note in:\n%s", out.String())
 	}
 }
@@ -138,7 +139,7 @@ func TestTraceOutputParses(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "out.trace.json")
 	var out, errb bytes.Buffer
-	args := []string{"-workload", "ed", "-policy", "static", "-threads", "2",
+	args := []string{"-workload", "ed", "-policy", "static:2",
 		"-cores", "8", "-trace", path}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
@@ -179,6 +180,35 @@ func TestPowerBudgetRun(t *testing.T) {
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q in:\n%s", want, out.String())
+		}
+	}
+}
+
+// policyNames loads the shared grammar table: name -> accepted.
+func policyNames(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/policy_names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			names[f[0]] = f[1] == "accept"
+		}
+	}
+	return names
+}
+
+// TestPolicyGrammar feeds every name of the shared grammar table to
+// -policy; a rejected name must fail on the policy, an accepted one
+// must get past it to the (unknown) workload.
+func TestPolicyGrammar(t *testing.T) {
+	for name, accept := range policyNames(t) {
+		var out, errb bytes.Buffer
+		code := run([]string{"-policy", name, "-workload", "nosuch"}, &out, &errb)
+		if rejected := strings.Contains(errb.String(), "policy"); code != 2 || rejected == accept {
+			t.Errorf("fdtsim -policy %q: exit %d, stderr %q; want accept=%v", name, code, errb.String(), accept)
 		}
 	}
 }

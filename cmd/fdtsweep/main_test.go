@@ -3,65 +3,38 @@ package main
 import (
 	"bytes"
 	"os"
-	"os/exec"
 	"strings"
 	"testing"
 )
 
-// fdtsweep's flags live in main() and exit through os.Exit, so the
-// tests re-exec the test binary as the command: TestMain intercepts
-// the child before any tests run and hands os.Args to main(). Args
-// are joined with the ASCII unit separator (NUL is not legal in
-// environment values).
-const sweepArgsEnv = "FDTSWEEP_TEST_ARGS"
-
-func TestMain(m *testing.M) {
-	if raw := os.Getenv(sweepArgsEnv); raw != "" {
-		os.Args = append([]string{"fdtsweep"}, strings.Split(raw, "\x1f")...)
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// execSweep runs fdtsweep with args in a child process and returns
-// its exit code with the combined output streams.
-func execSweep(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), sweepArgsEnv+"="+strings.Join(args, "\x1f"))
+// runSweep runs the command body in-process and returns its exit code
+// with the captured output streams.
+func runSweep(args ...string) (int, string, string) {
 	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	code := 0
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatalf("exec %v: %v", args, err)
-	}
+	code := run(args, &out, &errb)
 	return code, out.String(), errb.String()
 }
 
 func TestSweepBadInvocations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-exec child processes")
-	}
 	cases := [][]string{
 		{"-workload", "nosuch"},
+		{"-nosuchflag"},
 		{"-threads", "notanumber"},
+		{"-policies", "nosuch"},
 		{"-probe-iters", "-1"},
 		{"-min-gain", "1.5"},
+		{"-bandwidth", "0"},
 		{"-power-budget", "-1"},
 		{"-freq-ladder", "notanumber"},
 		{"-freq-ladder", "800,1600"}, // must be strictly descending
 		{"-power-budget", "5", "-corun", "pagemine+mg"},
 		{"-freq-ladder", "default", "-corun", "pagemine+mg"},
+		{"-corun", "nosuch+mg"},
 		{"-workload", "ed", "-threads", "1,2", "-power-budget", "5", "-policies", "hillclimb"},
 		{"-workload", "ed", "-threads", "1,2", "-power-budget", "5", "-policies", "hybrid"},
 	}
 	for _, args := range cases {
-		code, _, errb := execSweep(t, args...)
-		if code != 2 {
+		if code, _, errb := runSweep(args...); code != 2 {
 			t.Errorf("fdtsweep %v = exit %d, want 2; stderr: %s", args, code, errb)
 		}
 	}
@@ -69,9 +42,9 @@ func TestSweepBadInvocations(t *testing.T) {
 
 func TestSweepPowerBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full simulated sweep in a child process")
+		t.Skip("full simulated sweep")
 	}
-	code, out, errb := execSweep(t,
+	code, out, errb := runSweep(
 		"-workload", "ed", "-cores", "16", "-threads", "1,4",
 		"-policies", "sat+bat", "-power-budget", "5.6")
 	if code != 0 {
@@ -83,6 +56,34 @@ func TestSweepPowerBudget(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sweep output missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// policyNames loads the shared grammar table: name -> accepted.
+func policyNames(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/policy_names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			names[f[0]] = f[1] == "accept"
+		}
+	}
+	return names
+}
+
+// TestPolicyGrammar feeds every name of the shared grammar table to
+// -policies; a rejected name must fail on the policy, an accepted one
+// must get past it to the (unknown) workload.
+func TestPolicyGrammar(t *testing.T) {
+	for name, accept := range policyNames(t) {
+		code, _, errb := runSweep("-policies", name, "-workload", "nosuch")
+		if rejected := strings.Contains(errb, "policy"); code != 2 || rejected == accept {
+			t.Errorf("fdtsweep -policies %q: exit %d, stderr %q; want accept=%v", name, code, errb, accept)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	fdttrace -workload phaseshift -policy adaptive
 //	fdttrace -workload pagemine -policy sat+bat -o pagemine.trace.json
-//	fdttrace -workload ed -policy static -threads 8 -timeline ed.timeline.txt
+//	fdttrace -workload ed -policy static:8 -timeline ed.timeline.txt
 //	fdttrace -workload convert -policy bat -events all -buf 1048576
 //	fdttrace -workload isort -check
 //	fdttrace -list
@@ -30,6 +30,7 @@ import (
 	"fdt/internal/core"
 	"fdt/internal/invariant"
 	"fdt/internal/machine"
+	"fdt/internal/runflags"
 	"fdt/internal/trace"
 	"fdt/internal/workloads"
 )
@@ -44,37 +45,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdttrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload  = fs.String("workload", "phaseshift", "workload name (see -list)")
-		corun     = fs.String("corun", "", "trace two co-scheduled workloads as \"a+b\" (overrides -workload)")
-		mapping   = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
-		policy    = fs.String("policy", "adaptive", "threading policy: sat, bat, sat+bat, static, adaptive, hybrid")
-		threads   = fs.Int("threads", 0, "thread count for -policy static (0 = all cores)")
-		cores     = fs.Int("cores", 32, "cores on the simulated chip")
-		bandwidth = fs.Float64("bandwidth", 1.0, "off-chip bandwidth scale factor")
-		out       = fs.String("o", "trace.json", "Chrome trace-event JSON output path")
-		timeline  = fs.String("timeline", "", "also write a plain-text utilization timeline to this path")
-		interval  = fs.Uint64("interval", 10000, "timeline bin width in cycles")
-		events    = fs.String("events", "mem,sync,ctl", "traced categories, comma-separated: sim, mem, sync, ctl (or all)")
-		bufCap    = fs.Int("buf", 1<<19, "trace ring-buffer capacity in events (newest kept on overflow)")
-		list      = fs.Bool("list", false, "list workloads and exit")
-		check     = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
-		useSample = fs.Bool("sampled", false, "ignored: traces always execute exactly (kept for flag parity with fdtsim)")
-		budget    = fs.Float64("power-budget", 0, "average-chip-power cap in nominal-active-core units (0 = unconstrained; implies -freq-ladder default)")
-		ladderStr = fs.String("freq-ladder", "", "P-state ladder: \"default\" or comma-separated MHz values, nominal first (empty = single-frequency machine)")
+		workload = fs.String("workload", "phaseshift", "workload name (see -list)")
+		corun    = fs.String("corun", "", "trace two co-scheduled workloads as \"a+b\" (overrides -workload)")
+		mapping  = fs.String("mapping", "packed", "thread-to-core mapping for -corun: packed, scattered, smt")
+		policy   = fs.String("policy", "adaptive", "threading policy: "+core.PolicyGrammar())
+		out      = fs.String("o", "trace.json", "Chrome trace-event JSON output path")
+		timeline = fs.String("timeline", "", "also write a plain-text utilization timeline to this path")
+		interval = fs.Uint64("interval", 10000, "timeline bin width in cycles")
+		events   = fs.String("events", "mem,sync,ctl", "traced categories, comma-separated: sim, mem, sync, ctl (or all)")
+		bufCap   = fs.Int("buf", 1<<19, "trace ring-buffer capacity in events (newest kept on overflow)")
+		list     = fs.Bool("list", false, "list workloads and exit")
+		check    = fs.Bool("check", false, "arm the runtime invariant checker (conservation, queueing, coherence, controller equations)")
 	)
+	rf := runflags.Register(fs, runflags.Machine|runflags.Sampled|runflags.Power)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	ladder, errDVFS := machine.ResolveDVFS(*budget, *ladderStr)
-	if errDVFS != nil {
-		fmt.Fprintln(stderr, "fdttrace:", errDVFS)
+	instruments := core.OptTrace
+	if *check {
+		instruments |= core.OptCheck
+	}
+	if *corun != "" {
+		instruments |= core.OptCorun
+	}
+	spec, note, err := rf.Spec(*policy, instruments)
+	if err != nil {
+		fmt.Fprintln(stderr, "fdttrace:", err)
 		return 2
 	}
-	dvfs := *budget > 0 || !ladder.Trivial()
-	if *useSample {
-		// A golden trace must record every simulated event;
-		// fast-forwarded regions would leave silent gaps.
-		fmt.Fprintln(stdout, "note: fdttrace always executes exactly (a golden trace must record every event); -sampled ignored")
+	if note != "" {
+		fmt.Fprintln(stdout, "note:", note)
 	}
 
 	if *list {
@@ -103,33 +103,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := machine.DefaultConfig().WithCores(*cores).WithBandwidth(*bandwidth).WithFreq(ladder)
-	m := machine.MustNew(cfg)
 	tr := trace.New(*bufCap, mask)
-	m.AttachTracer(tr)
 	var ck *invariant.Checker
-	if *check {
-		ck = invariant.New()
-		m.AttachChecker(ck)
+	instrument := func(m *machine.Machine) {
+		m.AttachTracer(tr)
+		if *check {
+			ck = invariant.New()
+			m.AttachChecker(ck)
+		}
 	}
 	var res core.RunResult
 	meta := map[string]string{
-		"cores":     fmt.Sprintf("%d", *cores),
-		"bandwidth": fmt.Sprintf("%g", *bandwidth),
+		"cores":     fmt.Sprintf("%d", rf.Cores),
+		"bandwidth": fmt.Sprintf("%g", rf.Bandwidth),
 	}
-	if dvfs {
-		meta["budget"] = fmt.Sprintf("%g", *budget)
-		meta["ladder"] = ladder.Key()
+	if !spec.Cfg.Freq.Trivial() {
+		meta["budget"] = fmt.Sprintf("%g", rf.PowerBudget)
+		meta["ladder"] = spec.Cfg.Freq.Key()
 	}
 	if *corun != "" {
-		if dvfs {
-			fmt.Fprintln(stderr, "fdttrace: -corun does not support -power-budget/-freq-ladder (per-team power attribution is not modeled)")
-			return 2
-		}
-		if strings.ToLower(*policy) == "hybrid" {
-			fmt.Fprintln(stderr, "fdttrace: -policy hybrid does not support -corun (its probes own the whole machine)")
-			return 2
-		}
 		a, b, err := workloads.ParsePair(*corun)
 		if err != nil {
 			fmt.Fprintf(stderr, "fdttrace: %v (try -list)\n", err)
@@ -140,31 +132,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "fdttrace:", err)
 			return 2
 		}
-		spec := func(i workloads.Info) core.TeamSpec {
-			s := core.TeamSpec{Workload: i.Name, Factory: i.Factory}
-			switch strings.ToLower(*policy) {
-			case "adaptive":
-				s.Policy = core.Combined{}
-				p := core.DefaultMonitorParams()
-				s.Monitor = &p
-			default:
-				pol, err := parsePolicy(*policy, *threads)
-				if err != nil {
-					fmt.Fprintln(stderr, "fdttrace:", err)
-					os.Exit(2)
-				}
-				s.Policy = pol
-			}
-			return s
+		// The conflict table has already rejected the probing drivers,
+		// so the driver is a Controller.
+		ctl := spec.Driver.(*core.Controller)
+		team := func(i workloads.Info) core.TeamSpec {
+			return core.TeamSpec{Workload: i.Name, Factory: i.Factory, Policy: ctl.Policy, Monitor: ctl.Monitor}
 		}
-		co, err := core.RunCorunOn(m, mp, []core.TeamSpec{spec(a), spec(b)}, core.ExactMode())
+		m := machine.MustNew(spec.Cfg)
+		instrument(m)
+		co, err := core.RunCorunOn(m, mp, []core.TeamSpec{team(a), team(b)}, spec.Mode)
 		if err != nil {
 			fmt.Fprintln(stderr, "fdttrace:", err)
 			return 2
 		}
 		meta["corun"] = a.Name + "+" + b.Name
 		meta["mapping"] = co.Mapping
-		meta["policy"] = policyLabel(*policy, co.Teams[0].Policy)
+		meta["policy"] = policyLabel(spec, co.Teams[0].Policy)
 		meta["total_cycles"] = fmt.Sprintf("%d", co.TotalCycles)
 		res = co.Teams[0].RunResult
 		res.Workload = a.Name + "+" + b.Name
@@ -174,35 +157,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.Kernels = append(res.Kernels, t.Kernels...)
 		}
 	} else {
-		w := info.Factory(m)
-		pp := core.PowerParams{Budget: *budget, LockState: -1}
-		switch strings.ToLower(*policy) {
-		case "adaptive":
-			ctl := core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams())
-			if dvfs {
-				ctl.Power = &pp
-			}
-			res = ctl.Run(m, w)
-		case "hybrid":
-			if dvfs {
-				fmt.Fprintln(stderr, "fdttrace: -policy hybrid does not support -power-budget/-freq-ladder (its probes time real chunks at nominal frequency)")
-				return 2
-			}
-			res = core.Hybrid{}.Run(m, w)
-		default:
-			pol, err := parsePolicy(*policy, *threads)
-			if err != nil {
-				fmt.Fprintln(stderr, "fdttrace:", err)
-				return 2
-			}
-			ctl := core.NewController(pol)
-			if dvfs {
-				ctl.Power = &pp
-			}
-			res = ctl.Run(m, w)
+		spec.Factory = func(m *machine.Machine) core.Workload {
+			instrument(m)
+			return info.Factory(m)
 		}
+		res = core.Run(spec)
 		meta["workload"] = res.Workload
-		meta["policy"] = policyLabel(*policy, res.Policy)
+		meta["policy"] = policyLabel(spec, res.Policy)
 		meta["total_cycles"] = fmt.Sprintf("%d", res.TotalCycles)
 	}
 	if err := writeChromeFile(*out, tr, meta); err != nil {
@@ -217,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "workload   %s under %s: %d cycles, %.2f avg active cores\n",
-		res.Workload, policyLabel(*policy, res.Policy), res.TotalCycles, res.AvgActiveCores)
+		res.Workload, policyLabel(spec, res.Policy), res.TotalCycles, res.AvgActiveCores)
 	if res.Energy != nil {
 		fmt.Fprintf(stdout, "energy     %.0f core-cycles (%.2f avg chip power, table-driven)\n",
 			res.Energy.Total, res.Energy.AvgPower)
@@ -246,10 +207,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// policyLabel names the effective policy: the adaptive pseudo-policy
-// wraps the combined SAT+BAT policy in a monitored controller.
-func policyLabel(requested, resolved string) string {
-	if strings.ToLower(requested) == "adaptive" {
+// policyLabel names the effective policy: a monitored (adaptive)
+// controller wraps its policy's name.
+func policyLabel(spec core.RunSpec, resolved string) string {
+	if ctl, ok := spec.Driver.(*core.Controller); ok && ctl.Monitor != nil {
 		return "adaptive(" + resolved + ")"
 	}
 	return resolved
@@ -304,19 +265,4 @@ func parseCategories(s string) (trace.Category, error) {
 		return 0, fmt.Errorf("no event categories selected")
 	}
 	return mask, nil
-}
-
-func parsePolicy(name string, threads int) (core.Policy, error) {
-	switch strings.ToLower(name) {
-	case "sat":
-		return core.SAT{}, nil
-	case "bat":
-		return core.BAT{}, nil
-	case "sat+bat", "combined", "fdt":
-		return core.Combined{}, nil
-	case "static":
-		return core.Static{N: threads}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want sat, bat, sat+bat, static or adaptive)", name)
-	}
 }

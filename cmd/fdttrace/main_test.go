@@ -33,6 +33,8 @@ func TestBadInvocations(t *testing.T) {
 		{"-corun", "pagemine+mg", "-mapping", "nosuch"},
 		{"-corun", "pagemine+mg", "-mapping", "smt"}, // 1 SMT plane, 2 teams
 		{"-corun", "pagemine+mg", "-policy", "hybrid"},
+		{"-corun", "pagemine+mg", "-policy", "hillclimb"},
+		{"-corun", "pagemine+mg", "-policy", "nosuch"},
 		{"-power-budget", "-1"},
 		{"-freq-ladder", "notanumber"},
 		{"-freq-ladder", "800,1600"}, // must be strictly descending
@@ -55,7 +57,7 @@ func TestTraceAndTimelineOutputs(t *testing.T) {
 	tracePath := filepath.Join(dir, "t.json")
 	timelinePath := filepath.Join(dir, "t.txt")
 	var out, errb bytes.Buffer
-	args := []string{"-workload", "ed", "-policy", "static", "-threads", "2",
+	args := []string{"-workload", "ed", "-policy", "static:2",
 		"-cores", "8", "-events", "all", "-o", tracePath, "-timeline", timelinePath, "-check"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
@@ -152,5 +154,34 @@ func TestPowerBudgetTrace(t *testing.T) {
 	}
 	if !strings.Contains(doc.Meta["ladder"], "f1600") {
 		t.Errorf("trace metadata ladder = %q, want it to name f1600", doc.Meta["ladder"])
+	}
+}
+
+// policyNames loads the shared grammar table: name -> accepted.
+func policyNames(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/policy_names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			names[f[0]] = f[1] == "accept"
+		}
+	}
+	return names
+}
+
+// TestPolicyGrammar feeds every name of the shared grammar table to
+// -policy; a rejected name must fail on the policy, an accepted one
+// must get past it to the (unknown) workload.
+func TestPolicyGrammar(t *testing.T) {
+	for name, accept := range policyNames(t) {
+		var out, errb bytes.Buffer
+		code := run([]string{"-policy", name, "-workload", "nosuch"}, &out, &errb)
+		if rejected := strings.Contains(errb.String(), "policy"); code != 2 || rejected == accept {
+			t.Errorf("fdttrace -policy %q: exit %d, stderr %q; want accept=%v", name, code, errb.String(), accept)
+		}
 	}
 }

@@ -21,7 +21,7 @@ func main() {
 	info, _ := workloads.ByName("mtwister")
 	factory := func(m *machine.Machine) core.Workload { return info.Factory(m) }
 
-	fdt := core.RunPolicy(cfg, factory, core.Combined{})
+	fdt := core.Run(core.RunSpec{Cfg: cfg, Factory: factory, Driver: core.NewController(core.Combined{})})
 	fmt.Println("MTwister under SAT+BAT: per-kernel decisions")
 	for _, k := range fdt.Kernels {
 		fmt.Printf("  %-22s bu1=%5.2f%%  -> %2d threads (%d cycles)\n",

@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("  %-12s %8s %10s %12s %8s\n", "machine", "BU1", "BAT->", "exec cycles", "power")
 	for _, scale := range []float64{0.5, 1, 2} {
 		cfg := machine.DefaultConfig().WithBandwidth(scale)
-		r := core.RunPolicy(cfg, factory, core.BAT{})
+		r := core.Run(core.RunSpec{Cfg: cfg, Factory: factory, Driver: core.NewController(core.BAT{})})
 		d := r.Kernels[0].Decision
 		fmt.Printf("  %-12s %7.1f%% %10d %12d %8.2f\n",
 			fmt.Sprintf("%.2gx bus", scale), 100*d.BusUtil1, d.Threads,

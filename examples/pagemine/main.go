@@ -29,9 +29,10 @@ func main() {
 		factory := func(m *machine.Machine) core.Workload {
 			return workloads.NewPageMine(m, params)
 		}
-		sat := core.RunPolicy(cfg, factory, core.SAT{})
-		s4 := core.RunPolicy(cfg, factory, core.Static{N: 4})
-		s16 := core.RunPolicy(cfg, factory, core.Static{N: 16})
+		run := func(pol core.Policy) core.RunResult {
+			return core.Run(core.RunSpec{Cfg: cfg, Factory: factory, Driver: core.NewController(pol)})
+		}
+		sat, s4, s16 := run(core.SAT{}), run(core.Static{N: 4}), run(core.Static{N: 16})
 
 		fmt.Printf("  %-10s %6d %14d %14d %14d\n",
 			fmt.Sprintf("%dB", pageBytes),

@@ -27,12 +27,15 @@ func main() {
 	factory := func(m *machine.Machine) core.Workload { return info.Factory(m) }
 
 	// Conventional threading: one thread per core.
-	conventional := core.RunPolicy(cfg, factory, core.Static{})
+	run := func(pol core.Policy) core.RunResult {
+		return core.Run(core.RunSpec{Cfg: cfg, Factory: factory, Driver: core.NewController(pol)})
+	}
+	conventional := run(core.Static{})
 
 	// Feedback-Driven Threading: train on a few iterations, read the
 	// cycle and bus counters, apply the SAT and BAT models, execute
 	// the rest on min(P_CS, P_BW, cores) threads.
-	fdt := core.RunPolicy(cfg, factory, core.Combined{})
+	fdt := run(core.Combined{})
 
 	fmt.Println("PageMine on the simulated 32-core CMP")
 	fmt.Printf("  %-22s %12s %8s\n", "policy", "exec cycles", "power")

@@ -29,18 +29,21 @@ var updateIdentity = flag.Bool("update-identity", false,
 const identityGolden = "testdata/identity_exact_16c.json"
 
 // identityRuns executes the pinned matrix: 12 workloads x {serial,
-// SAT, BAT, adaptive SAT+BAT}, 16 cores, exact mode. Results flow
-// through the same keyed entry points the experiments use, so the pin
-// also covers the run-cache path.
+// SAT, BAT, adaptive SAT+BAT}, 16 cores, exact mode. Policies are
+// named in core's grammar and run through core.Run with a workload
+// key, the path the CLIs, experiments and daemon take, so the pin also
+// covers the grammar and the run-cache path.
 func identityRuns() []core.RunResult {
 	cfg := machine.DefaultConfig().WithCores(16)
 	var out []core.RunResult
 	for _, info := range workloads.All() {
-		for _, pol := range []core.Policy{core.Static{N: 1}, core.SAT{}, core.BAT{}} {
-			out = append(out, core.RunPolicyKeyed(cfg, info.Name, info.Factory, pol))
+		for _, name := range []string{"serial", "sat", "bat", "adaptive"} {
+			d, err := core.ParseDriver(name)
+			if err != nil {
+				panic(err)
+			}
+			out = append(out, core.Run(core.RunSpec{Cfg: cfg, Workload: info.Name, Factory: info.Factory, Driver: d}))
 		}
-		out = append(out, core.RunAdaptiveKeyed(cfg, info.Name, info.Factory,
-			core.Combined{}, core.DefaultMonitorParams()))
 	}
 	return out
 }

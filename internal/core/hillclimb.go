@@ -42,6 +42,7 @@ func (h HillClimb) Run(m *machine.Machine, w Workload) RunResult {
 			res.Kernels = append(res.Kernels, h.runKernel(c, k))
 		}
 	})
+	m.FinishCheck()
 	res.TotalCycles = m.Eng.Now()
 	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
 	return res

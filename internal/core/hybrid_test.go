@@ -270,16 +270,16 @@ func TestHybridIllegalFallbackCaught(t *testing.T) {
 	}
 }
 
-// TestRunHybridKeyedMemoizes: identical (config, wkey, tuning) calls
+// TestHybridSpecMemoizes: identical (config, workload, tuning) specs
 // must simulate once; different tunings and empty keys must not
 // collide.
-func TestRunHybridKeyedMemoizes(t *testing.T) {
+func TestHybridSpecMemoizes(t *testing.T) {
 	cfg := machine.DefaultConfig().WithCores(8)
 	f := newSynthFactory(400, 2000, 50, 0)
 
 	h0, _ := RunCacheStats()
-	r1 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{})
-	r2 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{})
+	r1 := Run(RunSpec{Cfg: cfg, Workload: "synth/hybrid-memo", Factory: f, Driver: Hybrid{}})
+	r2 := Run(RunSpec{Cfg: cfg, Workload: "synth/hybrid-memo", Factory: f, Driver: Hybrid{}})
 	h1, _ := RunCacheStats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
@@ -291,13 +291,13 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 	// A different tuning is a different run.
 	hp := DefaultHybridParams()
 	hp.ProbeIters = 12
-	r3 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{HP: hp})
+	r3 := Run(RunSpec{Cfg: cfg, Workload: "synth/hybrid-memo", Factory: f, Driver: Hybrid{HP: hp}})
 	if r3.Kernels[0].TrainIters == r1.Kernels[0].TrainIters && r3.TotalCycles == r1.TotalCycles {
 		t.Log("different tuning produced identical run (possible, but suspicious)")
 	}
 	h2, m2 := RunCacheStats()
 	_ = h2
-	r4 := RunHybridKeyed(cfg, "synth/hybrid-memo", f, Hybrid{HP: hp})
+	r4 := Run(RunSpec{Cfg: cfg, Workload: "synth/hybrid-memo", Factory: f, Driver: Hybrid{HP: hp}})
 	h3, m3 := RunCacheStats()
 	if m3 != m2 {
 		t.Error("repeated tuned call re-simulated (tuning not in the content address?)")
@@ -311,22 +311,22 @@ func TestRunHybridKeyedMemoizes(t *testing.T) {
 
 	// Empty workload key bypasses the cache entirely.
 	_, mBefore := RunCacheStats()
-	RunHybridKeyed(cfg, "", f, Hybrid{})
+	Run(RunSpec{Cfg: cfg, Factory: f, Driver: Hybrid{}})
 	_, mAfter := RunCacheStats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")
 	}
 }
 
-// TestRunHillClimbKeyedMemoizes: same contract for the measured
-// baseline's cache entry point.
-func TestRunHillClimbKeyedMemoizes(t *testing.T) {
+// TestHillClimbSpecMemoizes: same contract for the measured
+// baseline.
+func TestHillClimbSpecMemoizes(t *testing.T) {
 	cfg := machine.DefaultConfig().WithCores(8)
 	f := newSynthFactory(400, 2000, 50, 0)
 
 	h0, _ := RunCacheStats()
-	r1 := RunHillClimbKeyed(cfg, "synth/hc-memo", f, HillClimb{})
-	r2 := RunHillClimbKeyed(cfg, "synth/hc-memo", f, HillClimb{})
+	r1 := Run(RunSpec{Cfg: cfg, Workload: "synth/hc-memo", Factory: f, Driver: HillClimb{}})
+	r2 := Run(RunSpec{Cfg: cfg, Workload: "synth/hc-memo", Factory: f, Driver: HillClimb{}})
 	h1, _ := RunCacheStats()
 	if h1 == h0 {
 		t.Error("second identical call did not hit the cache")
@@ -336,14 +336,14 @@ func TestRunHillClimbKeyedMemoizes(t *testing.T) {
 	}
 
 	_, m0 := RunCacheStats()
-	RunHillClimbKeyed(cfg, "synth/hc-memo", f, HillClimb{ProbeIters: 16})
+	Run(RunSpec{Cfg: cfg, Workload: "synth/hc-memo", Factory: f, Driver: HillClimb{ProbeIters: 16}})
 	_, m1 := RunCacheStats()
 	if m1 == m0 {
 		t.Error("different tuning hit the same cache entry")
 	}
 
 	_, mBefore := RunCacheStats()
-	RunHillClimbKeyed(cfg, "", f, HillClimb{})
+	Run(RunSpec{Cfg: cfg, Factory: f, Driver: HillClimb{}})
 	_, mAfter := RunCacheStats()
 	if mAfter != mBefore {
 		t.Error("empty wkey touched the cache")

@@ -1,13 +1,35 @@
 package core
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"fdt/internal/machine"
 )
+
+// readGolden loads a key golden, one key per line.
+func readGolden(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+}
+
+// compareKeys diffs generated keys against a golden line by line.
+func compareKeys(t *testing.T, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("key count drifted: got %d, golden file has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("key %d drifted:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
 
 // goldenKeys regenerates the run-cache content addresses that
 // testdata/identity_keys_pr9.txt captured from the pre-DVFS tree: a
@@ -26,18 +48,18 @@ func goldenKeys() []string {
 	pols := []Policy{Static{}, Static{N: 4}, SAT{}, BAT{}, Combined{}}
 	var keys []string
 	for _, cfg := range cfgs {
+		key := func(wkey string, d Driver, md Mode) string {
+			return RunSpec{Cfg: cfg, Workload: wkey, Driver: d, Mode: md}.Key()
+		}
 		for _, pol := range pols {
 			for _, md := range []Mode{ExactMode(), SampledMode()} {
-				keys = append(keys, runKey(cfg, "pagemine", pol)+md.key())
+				keys = append(keys, key("pagemine", NewController(pol), md))
 			}
 		}
-		mp := DefaultMonitorParams()
-		keys = append(keys, runKey(cfg, "ed", Combined{})+fmt.Sprintf("|monitor/%+v", mp))
-		hc := HillClimb{}
-		keys = append(keys, ConfigKey(cfg)+"|ed"+fmt.Sprintf("|policy/hill-climb/%+v", hc))
-		h := Hybrid{}
-		keys = append(keys, ConfigKey(cfg)+"|ed"+
-			fmt.Sprintf("|policy/hybrid/seed=combined/%+v|train/%+v", h.HP, h.Params))
+		keys = append(keys,
+			key("ed", NewAdaptiveController(Combined{}, DefaultMonitorParams()), ExactMode()),
+			key("ed", HillClimb{}, ExactMode()),
+			key("ed", Hybrid{}, ExactMode()))
 	}
 	return keys
 }
@@ -48,23 +70,9 @@ func goldenKeys() []string {
 // the run key (satellite 1's cache-key half; the counters half lives
 // in internal/experiments).
 func TestRunCacheKeysIdentityPR9(t *testing.T) {
-	data, err := os.ReadFile("../../testdata/identity_keys_pr9.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	got := goldenKeys()
-	if len(got) != len(want) {
-		t.Fatalf("key count drifted: got %d, golden file has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("key %d drifted from PR 9:\n got %s\nwant %s", i, got[i], want[i])
-		}
-	}
-	// Default power parameters must be invisible in run keys, so
-	// budget-keyed entry points share cache entries with the legacy
-	// ones.
+	compareKeys(t, goldenKeys(), readGolden(t, "../../testdata/identity_keys_pr9.txt"))
+	// Default power parameters must be invisible in run keys, so a
+	// spec carrying them shares cache entries with one that omits them.
 	if frag := DefaultPowerParams().key(); frag != "" {
 		t.Errorf("DefaultPowerParams().key() = %q, want empty", frag)
 	}
@@ -96,4 +104,101 @@ func TestRunCacheKeysFreqFragment(t *testing.T) {
 	if got, want := lock.key(), "|power/b=0,lock=2"; got != want {
 		t.Errorf("lock-only key = %q, want %q", got, want)
 	}
+}
+
+// runSpecKeys rebuilds, in order, the keys that
+// testdata/identity_keys_runspec.txt captured from the per-variant
+// entry points RunSpec replaced: power budgets and locked P-states,
+// ladder-only machines, adaptive runs with and without a budget, tuned
+// sampled modes, hill-climb/hybrid tuning, and sweeps. Duplicate lines
+// are deliberate — equivalent runs (Static{} vs Static{N: cores},
+// default vs omitted power) must share a key.
+func runSpecKeys(t *testing.T) []string {
+	ladder2, err := machine.LadderFromMHz([]int{2000, 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []machine.Config{
+		machine.DefaultConfig(),
+		machine.DefaultConfig().WithCores(16).WithFreq(machine.DefaultLadder()),
+		machine.DefaultConfig().WithCores(8).WithBandwidth(0.5).WithFreq(ladder2),
+	}
+	tuned := SampledMode()
+	tuned.Params.Tol = 0.02
+	tuned.Params.WindowIters = 12
+	tuned.Params = tuned.Params.WithDefaults()
+	pols := []Policy{Static{}, Static{N: 1}, Static{N: 4}, Static{N: 64}, SAT{}, BAT{}, Combined{}}
+	dflt := DefaultPowerParams()
+	pps := []*PowerParams{{Budget: 4, LockState: -1}, {Budget: 0, LockState: 2}, {Budget: 5.6, LockState: 1}, &dflt}
+	customMon := DefaultMonitorParams()
+	customMon.Interval = 32
+	mons := []MonitorParams{DefaultMonitorParams(), customMon}
+
+	var keys []string
+	add := func(s RunSpec) { keys = append(keys, s.Key()) }
+	for _, cfg := range cfgs {
+		for _, pol := range pols {
+			for _, md := range []Mode{ExactMode(), SampledMode(), tuned} {
+				add(RunSpec{Cfg: cfg, Workload: "pagemine", Driver: NewController(pol), Mode: md})
+			}
+		}
+	}
+	for _, cfg := range cfgs {
+		for _, pp := range pps {
+			for _, pol := range []Policy{Static{N: 4}, Combined{}} {
+				for _, md := range []Mode{ExactMode(), tuned} {
+					add(RunSpec{Cfg: cfg, Workload: "ed", Driver: NewController(pol), Mode: md, Power: pp})
+				}
+			}
+		}
+	}
+	for _, cfg := range cfgs[:2] {
+		for _, mp := range mons {
+			for _, pol := range []Policy{Combined{}, SAT{}} {
+				for _, md := range []Mode{ExactMode(), SampledMode()} {
+					add(RunSpec{Cfg: cfg, Workload: "phaseshift", Driver: NewAdaptiveController(pol, mp), Mode: md})
+				}
+			}
+		}
+	}
+	for _, cfg := range cfgs[1:] {
+		for _, pp := range pps {
+			add(RunSpec{Cfg: cfg, Workload: "phaseshift",
+				Driver: NewAdaptiveController(Combined{}, DefaultMonitorParams()), Power: pp})
+		}
+	}
+	for _, cfg := range cfgs[:2] {
+		for _, hc := range []HillClimb{{}, {ProbeIters: 16}, {MinGain: 0.1}, {ProbeIters: 16, MinGain: 0.1}} {
+			add(RunSpec{Cfg: cfg, Workload: "ep", Driver: hc})
+		}
+	}
+	for _, cfg := range cfgs[:2] {
+		for _, h := range []Hybrid{
+			{},
+			{HP: HybridParams{ProbeIters: 16, MinGain: 0.1}},
+			{Policy: SAT{}},
+			{Policy: BAT{}, HP: HybridParams{ProbeIters: 8}},
+		} {
+			add(RunSpec{Cfg: cfg, Workload: "gauntlet/drift", Driver: h})
+		}
+	}
+	for _, cfg := range cfgs[1:] {
+		for _, s := range []RunSpec{
+			{Cfg: cfg, Workload: "mg", Mode: tuned},
+			{Cfg: cfg, Workload: "mg", Power: &PowerParams{Budget: 4, LockState: -1}},
+		} {
+			for _, n := range []int{1, 4, 16} {
+				s.Driver = NewController(Static{N: n})
+				add(s)
+			}
+		}
+	}
+	return keys
+}
+
+// TestRunSpecKeysIdentity pins RunSpec.Key() to the keys the deleted
+// per-variant entry points built, so disk stores written before the
+// RunSpec refactor stay warm.
+func TestRunSpecKeysIdentity(t *testing.T) {
+	compareKeys(t, runSpecKeys(t), readGolden(t, "../../testdata/identity_keys_runspec.txt"))
 }

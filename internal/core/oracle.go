@@ -9,40 +9,6 @@ import (
 // sweeps and the oracle take factories rather than instances.
 type Factory func(m *machine.Machine) Workload
 
-// RunPolicy builds a fresh machine and workload and executes it under
-// the given policy — the one-call entry point used by sweeps,
-// examples and benchmarks.
-func RunPolicy(cfg machine.Config, f Factory, pol Policy) RunResult {
-	return RunPolicyMode(cfg, f, pol, ExactMode())
-}
-
-// RunPolicyMode is RunPolicy in an explicit execution mode (exact or
-// sampled; see Mode).
-func RunPolicyMode(cfg machine.Config, f Factory, pol Policy, md Mode) RunResult {
-	m := machine.MustNew(cfg)
-	ctl := NewController(pol)
-	ctl.Mode = md
-	return ctl.Run(m, f(m))
-}
-
-// Sweep runs the workload once per requested static thread count and
-// returns the results in the same order — the baseline curves of
-// Figs 2, 4, 8, 10, 12 and 13. The independent simulations fan out
-// over the runner's worker pool; results are identical to a serial
-// sweep because each point runs on its own fresh machine.
-func Sweep(cfg machine.Config, f Factory, threadCounts []int) []RunResult {
-	return SweepKeyed(cfg, "", f, threadCounts)
-}
-
-// SweepAll sweeps static thread counts 1..cores.
-func SweepAll(cfg machine.Config, f Factory) []RunResult {
-	counts := make([]int, cfg.Mem.Cores)
-	for i := range counts {
-		counts[i] = i + 1
-	}
-	return Sweep(cfg, f, counts)
-}
-
 // OracleResult is the best static configuration found by exhaustive
 // offline search.
 type OracleResult struct {
@@ -62,7 +28,11 @@ type OracleResult struct {
 // knowledge FDT does not need — it is the upper bound FDT is compared
 // against in Fig 15.
 func Oracle(cfg machine.Config, f Factory, tolerance float64) OracleResult {
-	sweep := SweepAll(cfg, f)
+	counts := make([]int, cfg.Mem.Cores)
+	for i := range counts {
+		counts[i] = i + 1
+	}
+	sweep := Sweep(RunSpec{Cfg: cfg, Factory: f}, counts)
 	best := sweep[0].TotalCycles
 	for _, r := range sweep[1:] {
 		if r.TotalCycles < best {

@@ -51,7 +51,8 @@ func withRunStore(t *testing.T, dir string) {
 func persistTestRun(t *testing.T) RunResult {
 	t.Helper()
 	cfg := machine.DefaultConfig().WithCores(8)
-	return RunPolicyKeyed(cfg, "synth/persist", newSynthFactory(40, 900, 60, 2), Static{N: 4})
+	return Run(RunSpec{Cfg: cfg, Workload: "synth/persist",
+		Factory: newSynthFactory(40, 900, 60, 2), Driver: NewController(Static{N: 4})})
 }
 
 // A run simulated in one "process" must be served from the store —

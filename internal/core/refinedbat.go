@@ -48,6 +48,7 @@ func (r RefinedBAT) Run(m *machine.Machine, w Workload) RunResult {
 			res.Kernels = append(res.Kernels, r.runKernel(c, k))
 		}
 	})
+	m.FinishCheck()
 	res.TotalCycles = m.Eng.Now()
 	res.AvgActiveCores = m.Power.AverageActiveCores(res.TotalCycles)
 	res.BusBusyCycles = m.Ctrs.Counter(counters.BusBusyCycles).Read()

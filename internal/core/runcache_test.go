@@ -41,11 +41,12 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	for _, name := range []string{"pagemine", "ed"} {
 		fac := testFactory(t, name)
 
+		spec := core.RunSpec{Cfg: cfg, Factory: fac}
 		runner.SetWorkers(1)
-		serial := core.Sweep(cfg, fac, threads)
+		serial := core.Sweep(spec, threads)
 
 		runner.SetWorkers(8)
-		parallel := core.Sweep(cfg, fac, threads)
+		parallel := core.Sweep(spec, threads)
 		runner.SetWorkers(0)
 
 		if len(serial) != len(parallel) {
@@ -62,7 +63,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRunPolicyKeyedMatchesUncachedAndMemoizes(t *testing.T) {
+func TestRunMatchesUncachedAndMemoizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full run")
 	}
@@ -71,9 +72,11 @@ func TestRunPolicyKeyedMatchesUncachedAndMemoizes(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	fac := testFactory(t, "pagemine")
 
-	direct := core.RunPolicy(cfg, fac, core.SAT{})
-	first := core.RunPolicyKeyed(cfg, "pagemine", fac, core.SAT{})
-	again := core.RunPolicyKeyed(cfg, "pagemine", fac, core.SAT{})
+	spec := core.RunSpec{Cfg: cfg, Factory: fac, Driver: core.NewController(core.SAT{})}
+	direct := core.Run(spec)
+	spec.Workload = "pagemine"
+	first := core.Run(spec)
+	again := core.Run(spec)
 
 	if fmt.Sprintf("%#v", direct) != fmt.Sprintf("%#v", first) {
 		t.Errorf("keyed run diverged from direct run:\n%#v\nvs\n%#v", direct, first)
@@ -99,8 +102,11 @@ func TestStaticPolicyKeyNormalization(t *testing.T) {
 	// Static{} ("as many threads as cores") and Static{N: cores} are
 	// the same execution; the cache must address them identically so
 	// figure baselines share the sweep's all-cores point.
-	all := core.RunPolicyKeyed(cfg, "ep", fac, core.Static{})
-	n32 := core.RunPolicyKeyed(cfg, "ep", fac, core.Static{N: cfg.Mem.Cores})
+	spec := func(pol core.Policy) core.RunSpec {
+		return core.RunSpec{Cfg: cfg, Workload: "ep", Factory: fac, Driver: core.NewController(pol)}
+	}
+	all := core.Run(spec(core.Static{}))
+	n32 := core.Run(spec(core.Static{N: cfg.Mem.Cores}))
 	if hits, misses := core.RunCacheStats(); hits != 1 || misses != 1 {
 		t.Errorf("cache stats = %d hits / %d misses, want 1 / 1", hits, misses)
 	}

@@ -48,7 +48,8 @@ func (a Ablation) String() string {
 func ablationRow(cfgName, workload string, cfg machine.Config, pol core.Policy, md core.Mode) AblationRow {
 	// Keyed by workload name; the machine fingerprint in the cache key
 	// keeps each ablation's config variant distinct.
-	r := core.RunPolicyKeyedMode(cfg, workload, factory(workload), pol, md)
+	r := core.Run(core.RunSpec{Cfg: cfg, Workload: workload, Factory: factory(workload),
+		Driver: core.NewController(pol), Mode: md})
 	k := r.Kernels[0]
 	return AblationRow{
 		Config:     cfgName,
@@ -140,8 +141,8 @@ func AblationStabilityWindow(o Options) Ablation {
 func AblationTrainingOverhead(o Options) Ablation {
 	a := Ablation{Title: "FDT training vs hill-climbing allocation search"}
 	for _, name := range []string{"pagemine", "ed", "bscholes"} {
-		fdt := core.RunPolicyKeyedMode(o.Cfg, name, factory(name), core.Combined{}, o.Mode)
-		hc := core.RunHillClimbKeyed(o.Cfg, name, factory(name), core.HillClimb{})
+		fdt := core.Run(o.spec(name, core.NewController(core.Combined{})))
+		hc := core.Run(o.spec(name, core.HillClimb{}))
 		a.Rows = append(a.Rows,
 			AblationRow{
 				Config: "FDT (SAT+BAT)", Workload: name,
@@ -166,7 +167,7 @@ func AblationTrainingOverhead(o Options) Ablation {
 func AblationRefinedBAT(o Options) Ablation {
 	a := Ablation{Title: "BAT vs refined BAT (future work, Section 9)"}
 	for _, name := range []string{"ed", "convert", "transpose"} {
-		plain := core.RunPolicyKeyedMode(o.Cfg, name, factory(name), core.BAT{}, o.Mode)
+		plain := core.Run(o.spec(name, core.NewController(core.BAT{})))
 		m := machine.MustNew(o.Cfg)
 		refined := core.RefinedBAT{}.Run(m, factory(name)(m))
 		a.Rows = append(a.Rows,
@@ -214,8 +215,8 @@ func AblationPrefetcher(o Options) Ablation {
 func AblationAdaptive(o Options) Ablation {
 	a := Ablation{Title: "train-once vs phase-adaptive FDT (phaseshift)"}
 	const name = "phaseshift"
-	once := core.RunPolicyKeyedMode(o.Cfg, name, factory(name), core.Combined{}, o.Mode)
-	ad := core.RunAdaptiveKeyedMode(o.Cfg, name, factory(name), core.Combined{}, core.DefaultMonitorParams(), o.Mode)
+	once := core.Run(o.spec(name, core.NewController(core.Combined{})))
+	ad := core.Run(o.spec(name, core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams())))
 	ok, ak := once.Kernels[0], ad.Kernels[0]
 	a.Rows = append(a.Rows,
 		AblationRow{

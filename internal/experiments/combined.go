@@ -146,7 +146,7 @@ func RunFig15(o Options) Fig15 {
 // with the sweep memoized under the workload key.
 func oracleOver(o Options, wkey string, fac core.Factory) core.OracleResult {
 	ts := o.threads()
-	runs := core.SweepKeyedMode(o.Cfg, wkey, fac, ts, o.Mode)
+	runs := core.Sweep(core.RunSpec{Cfg: o.Cfg, Workload: wkey, Factory: fac, Mode: o.Mode}, ts)
 	times := make([]uint64, len(runs))
 	for i, r := range runs {
 		times[i] = r.TotalCycles

@@ -43,19 +43,11 @@ type Options struct {
 	Power *core.PowerParams
 }
 
-// powerOn reports whether runs need the budget-aware entry points: an
-// explicit budget, or a non-trivial ladder on the machine (which by
-// itself arms the controller's (threads, frequency) search).
-func (o Options) powerOn() bool {
-	return o.Power != nil || !o.Cfg.Freq.Trivial()
-}
-
-// pp resolves the effective power parameters.
-func (o Options) pp() core.PowerParams {
-	if o.Power != nil {
-		return *o.Power
-	}
-	return core.DefaultPowerParams()
+// spec names a run of a registered workload under the options'
+// machine and mode. Power stays nil: callers that honour Options.Power
+// set it.
+func (o Options) spec(name string, d core.Driver) core.RunSpec {
+	return core.RunSpec{Cfg: o.Cfg, Workload: name, Factory: factory(name), Driver: d, Mode: o.Mode}
 }
 
 // ProgressFunc receives experiment progress events. Implementations
@@ -134,12 +126,9 @@ type Curve struct {
 // runNamed executes (or recalls) a registered workload under a policy
 // through the process-wide run cache, keyed by the workload name.
 func runNamed(o Options, name string, pol core.Policy) core.RunResult {
-	var r core.RunResult
-	if o.powerOn() {
-		r = core.RunPolicyBudgetKeyedMode(o.Cfg, name, factory(name), pol, o.pp(), o.Mode)
-	} else {
-		r = core.RunPolicyKeyedMode(o.Cfg, name, factory(name), pol, o.Mode)
-	}
+	s := o.spec(name, core.NewController(pol))
+	s.Power = o.Power
+	r := core.Run(s)
 	o.emit(ProgressEvent{Workload: name, Policy: r.Policy, Cycles: r.TotalCycles, Total: 1})
 	return r
 }
@@ -171,18 +160,17 @@ func sweep(o Options, name string) Curve {
 	return c
 }
 
-// sweepRuns is core.SweepKeyedMode with per-point progress reporting:
-// identical scheduling (runner worker pool), identical results,
-// identical cache keys.
+// sweepRuns is core.Sweep under Options.Power with per-point progress
+// reporting: identical scheduling (runner worker pool), identical
+// results, identical cache keys.
 func sweepRuns(o Options, name string, ts []int) []core.RunResult {
-	f := factory(name)
+	s := o.spec(name, nil)
+	s.Power = o.Power
 	out := make([]core.RunResult, len(ts))
 	runner.Map(len(ts), func(i int) {
-		if o.powerOn() {
-			out[i] = core.RunPolicyBudgetKeyedMode(o.Cfg, name, f, core.Static{N: ts[i]}, o.pp(), o.Mode)
-		} else {
-			out[i] = core.RunPolicyKeyedMode(o.Cfg, name, f, core.Static{N: ts[i]}, o.Mode)
-		}
+		p := s
+		p.Driver = core.NewController(core.Static{N: ts[i]})
+		out[i] = core.Run(p)
 		o.emit(ProgressEvent{
 			Workload: name, Policy: out[i].Policy, Threads: ts[i],
 			Cycles: out[i].TotalCycles, Index: i, Total: len(ts),

@@ -63,24 +63,11 @@ func gauntletPolicies() []string {
 // gauntletRun executes one controller on one member (exact mode,
 // through the run cache).
 func gauntletRun(o Options, name, policy string) core.RunResult {
-	f := factory(name)
-	switch policy {
-	case "serial":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.Static{N: 1})
-	case "sat":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.SAT{})
-	case "bat":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.BAT{})
-	case "sat+bat":
-		return core.RunPolicyKeyed(o.Cfg, name, f, core.Combined{})
-	case "adaptive":
-		return core.RunAdaptiveKeyed(o.Cfg, name, f, core.Combined{}, core.DefaultMonitorParams())
-	case "hill-climb":
-		return core.RunHillClimbKeyed(o.Cfg, name, f, core.HillClimb{})
-	case "hybrid":
-		return core.RunHybridKeyed(o.Cfg, name, f, core.Hybrid{})
+	d, err := core.ParseDriver(policy)
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
-	panic(fmt.Sprintf("experiments: unknown gauntlet policy %q", policy))
+	return core.Run(o.spec(name, d))
 }
 
 // RunGauntlet executes the family: every member swept for its static

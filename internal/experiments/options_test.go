@@ -13,7 +13,7 @@ func policyRunWithKernels(name string, threads int) core.RunResult {
 	}}
 }
 
-func TestDefaultOptionsSweepAllCores(t *testing.T) {
+func TestDefaultOptionsSweepEveryCore(t *testing.T) {
 	o := DefaultOptions()
 	ts := o.threads()
 	if len(ts) != 32 {

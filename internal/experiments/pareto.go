@@ -99,7 +99,9 @@ func paretoOptions(o Options) Options {
 // runBudget executes (or recalls) a workload under a policy with
 // explicit power parameters through the run cache.
 func runBudget(o Options, name string, pol core.Policy, pp core.PowerParams) core.RunResult {
-	r := core.RunPolicyBudgetKeyedMode(o.Cfg, name, factory(name), pol, pp, o.Mode)
+	s := o.spec(name, core.NewController(pol))
+	s.Power = &pp
+	r := core.Run(s)
 	o.emit(ProgressEvent{Workload: name, Policy: r.Policy, Cycles: r.TotalCycles, Total: 1})
 	return r
 }

@@ -76,13 +76,15 @@ func RunFig09(o Options) Fig09 {
 	runner.Map(len(Fig09PageSizes), func(i int) {
 		pb := Fig09PageSizes[i]
 		fac, wkey := pageMineSized(pb)
-		runs := core.SweepKeyedMode(o.Cfg, wkey, fac, o.threads(), o.Mode)
+		spec := core.RunSpec{Cfg: o.Cfg, Workload: wkey, Factory: fac, Mode: o.Mode}
+		runs := core.Sweep(spec, o.threads())
 		times := make([]uint64, len(runs))
 		for j, r := range runs {
 			times[j] = r.TotalCycles
 		}
 		best := o.threads()[fewestIdx(times)]
-		sat := core.RunPolicyKeyedMode(o.Cfg, wkey, fac, core.SAT{}, o.Mode)
+		spec.Driver = core.NewController(core.SAT{})
+		sat := core.Run(spec)
 		f.PageBytes[i] = pb
 		f.BestThreads[i] = best
 		f.SATThreads[i] = chosenThreads(sat)
@@ -142,7 +144,8 @@ func RunFig10(o Options) Fig10 {
 	run := func(pageBytes int) (Curve, PolicyPoint) {
 		fac, wkey := pageMineSized(pageBytes)
 		ts := o.threads()
-		runs := core.SweepKeyedMode(o.Cfg, wkey, fac, ts, o.Mode)
+		spec := core.RunSpec{Cfg: o.Cfg, Workload: wkey, Factory: fac, Mode: o.Mode}
+		runs := core.Sweep(spec, ts)
 		c := Curve{Workload: fmt.Sprintf("pagemine-%dB", pageBytes)}
 		base := runs[0].TotalCycles
 		times := make([]uint64, len(runs))
@@ -158,7 +161,8 @@ func RunFig10(o Options) Fig10 {
 		}
 		idx := fewestIdx(times)
 		c.MinThreads, c.MinCycles = ts[idx], times[idx]
-		sat := core.RunPolicyKeyedMode(o.Cfg, wkey, fac, core.SAT{}, o.Mode)
+		spec.Driver = core.NewController(core.SAT{})
+		sat := core.Run(spec)
 		pp := PolicyPoint{
 			Policy:   "SAT",
 			Run:      sat,

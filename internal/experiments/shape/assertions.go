@@ -169,9 +169,11 @@ func Assertions() []Assertion {
 			Check: func(o experiments.Options) error {
 				prod, n := 1.0, 0
 				for _, info := range workloads.All() {
-					fdt := core.RunPolicyKeyedMode(o.Cfg, info.Name, info.Factory, core.Combined{}, o.Mode).TotalCycles
-					sat := core.RunPolicyKeyedMode(o.Cfg, info.Name, info.Factory, core.SAT{}, o.Mode).TotalCycles
-					bat := core.RunPolicyKeyedMode(o.Cfg, info.Name, info.Factory, core.BAT{}, o.Mode).TotalCycles
+					run := func(pol core.Policy) uint64 {
+						return core.Run(core.RunSpec{Cfg: o.Cfg, Workload: info.Name, Factory: info.Factory,
+							Driver: core.NewController(pol), Mode: o.Mode}).TotalCycles
+					}
+					fdt, sat, bat := run(core.Combined{}), run(core.SAT{}), run(core.BAT{})
 					best := sat
 					if bat < best {
 						best = bat
@@ -214,7 +216,8 @@ func Assertions() []Assertion {
 				if !ok {
 					return fmt.Errorf("phaseshift workload not registered")
 				}
-				r := core.RunAdaptiveKeyedMode(o.Cfg, "phaseshift", info.Factory, core.Combined{}, core.DefaultMonitorParams(), o.Mode)
+				r := core.Run(core.RunSpec{Cfg: o.Cfg, Workload: "phaseshift", Factory: info.Factory,
+					Driver: core.NewAdaptiveController(core.Combined{}, core.DefaultMonitorParams()), Mode: o.Mode})
 				if len(r.Kernels) != 1 {
 					return fmt.Errorf("phaseshift: %d kernels, want 1", len(r.Kernels))
 				}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"fdt/internal/core"
 	"fdt/internal/stats"
@@ -74,77 +72,17 @@ func RunSweepJob(o Options, workload string, counts []int, policies []string) (S
 	return res, nil
 }
 
-// runPolicyJob resolves one policy name and executes it through the
-// matching keyed (cached) runner. Measurement-driven controllers
-// (adaptive, hillclimb, hybrid) have dedicated cache entry points;
-// hill-climbing and the hybrid always run exact because their probes
-// time real chunks.
+// runPolicyJob resolves one policy name of core's grammar and executes
+// it through the run cache under the options' machine, mode and power.
 func runPolicyJob(o Options, workload, pname string) (core.RunResult, error) {
-	f := factory(workload)
-	switch strings.ToLower(strings.TrimSpace(pname)) {
-	case "adaptive":
-		if o.powerOn() {
-			return core.RunAdaptiveBudgetKeyed(o.Cfg, workload, f, core.Combined{},
-				core.DefaultMonitorParams(), o.pp()), nil
-		}
-		return core.RunAdaptiveKeyedMode(o.Cfg, workload, f, core.Combined{},
-			core.DefaultMonitorParams(), o.Mode), nil
-	case "hillclimb", "hill-climb":
-		if o.powerOn() {
-			return core.RunResult{}, fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", pname)
-		}
-		return core.RunHillClimbKeyed(o.Cfg, workload, f, core.HillClimb{}), nil
-	case "hybrid":
-		if o.powerOn() {
-			return core.RunResult{}, fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", pname)
-		}
-		return core.RunHybridKeyed(o.Cfg, workload, f, core.Hybrid{}), nil
-	default:
-		pol, err := PolicyByName(pname)
-		if err != nil {
-			return core.RunResult{}, err
-		}
-		if o.powerOn() {
-			return core.RunPolicyBudgetKeyedMode(o.Cfg, workload, f, pol, o.pp(), o.Mode), nil
-		}
-		return core.RunPolicyKeyedMode(o.Cfg, workload, f, pol, o.Mode), nil
+	d, err := core.ParseDriver(pname)
+	if err != nil {
+		return core.RunResult{}, err
 	}
-}
-
-// PolicyByName resolves a model-driven policy label: "sat", "bat",
-// "sat+bat" (aliases "combined", "fdt"), "serial", or "static:N".
-// Measurement-driven labels (adaptive, hillclimb, hybrid) are not
-// Policies — they own their controllers — and are rejected here;
-// RunSweepJob routes them to their dedicated runners.
-func PolicyByName(name string) (core.Policy, error) {
-	n := strings.ToLower(strings.TrimSpace(name))
-	switch n {
-	case "sat":
-		return core.SAT{}, nil
-	case "bat":
-		return core.BAT{}, nil
-	case "sat+bat", "combined", "fdt":
-		return core.Combined{}, nil
-	case "serial":
-		return core.Static{N: 1}, nil
+	s := o.spec(workload, d)
+	s.Power = o.Power
+	if _, err := s.Validate(0); err != nil {
+		return core.RunResult{}, err
 	}
-	if rest, ok := strings.CutPrefix(n, "static:"); ok {
-		k, err := strconv.Atoi(rest)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("bad static policy %q (want static:N, N >= 1)", name)
-		}
-		return core.Static{N: k}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", name)
-}
-
-// ValidPolicyName reports whether RunSweepJob can execute the label,
-// including the measurement-driven controllers PolicyByName rejects.
-func ValidPolicyName(name string) bool {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "adaptive", "hillclimb", "hill-climb", "hybrid":
-		return true
-	}
-	_, err := PolicyByName(name)
-	return err == nil
+	return core.Run(s), nil
 }

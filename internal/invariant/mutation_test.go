@@ -23,6 +23,11 @@ import (
 // fault on it, runs the workload under static threading, and returns
 // the checker.
 func mutationRun(t *testing.T, workload string, threads int, mutate func(m *machine.Machine)) *invariant.Checker {
+	return mutationRunDriver(t, workload, core.NewController(core.Static{N: threads}), mutate)
+}
+
+// mutationRunDriver is mutationRun under any driver.
+func mutationRunDriver(t *testing.T, workload string, d core.Driver, mutate func(m *machine.Machine)) *invariant.Checker {
 	t.Helper()
 	info, ok := workloads.ByName(workload)
 	if !ok {
@@ -34,7 +39,7 @@ func mutationRun(t *testing.T, workload string, threads int, mutate func(m *mach
 	if mutate != nil {
 		mutate(m)
 	}
-	core.NewController(core.Static{N: threads}).Run(m, info.Factory(m))
+	d.Run(m, info.Factory(m))
 	return ck
 }
 
@@ -56,6 +61,21 @@ func TestMutationBusAccountingSkew(t *testing.T) {
 	}
 	if !ck.Violated("bus-busy-audit") {
 		t.Fatalf("bus accounting skew not caught by bus-busy-audit; checker: %s", ck.Report())
+	}
+}
+
+// TestMutationBusAccountingSkewHillClimb: the measured baselines end
+// their runs with the same end-of-run audits as the controller
+// pipeline, so the skewed bus is caught under hill-climbing too.
+func TestMutationBusAccountingSkewHillClimb(t *testing.T) {
+	if err := mutationRunDriver(t, "convert", core.HillClimb{}, nil).Err(); err != nil {
+		t.Fatalf("control run not clean: %v", err)
+	}
+	ck := mutationRunDriver(t, "convert", core.HillClimb{}, func(m *machine.Machine) {
+		m.Mem.Bus.FaultAccountingSkew(1)
+	})
+	if !ck.Violated("bus-conservation") {
+		t.Fatalf("bus accounting skew not caught under hill-climbing; checker: %s", ck.Report())
 	}
 }
 

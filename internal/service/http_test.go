@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -387,5 +388,43 @@ func TestHTTPPowerSweepJob(t *testing.T) {
 	}
 	if st := getStats(t, ts); st.SimEnergyTotal <= 0 {
 		t.Errorf("stats sim_energy_total = %g, want > 0", st.SimEnergyTotal)
+	}
+}
+
+// policyNames loads the shared grammar table: name -> accepted.
+func policyNames(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/policy_names.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			names[f[0]] = f[1] == "accept"
+		}
+	}
+	return names
+}
+
+// TestHTTPPolicyGrammar feeds every name of the shared grammar table
+// to POST /v1/jobs; a rejected name must fail on the policy, an
+// accepted one must get past it to the (unknown) workload.
+func TestHTTPPolicyGrammar(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for name, accept := range policyNames(t) {
+		blob, _ := json.Marshal(Spec{Workload: "nosuch", Policies: []string{name}})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if rejected := strings.Contains(string(body), "policy"); resp.StatusCode != http.StatusBadRequest || rejected == accept {
+			t.Errorf("POST policy %q: status %d, body %q; want accept=%v", name, resp.StatusCode, body, accept)
+		}
 	}
 }

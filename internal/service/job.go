@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -104,22 +103,22 @@ func (s *Spec) normalize() error {
 		if s.Experiment != "" {
 			return fmt.Errorf("sweep job must not name an experiment")
 		}
+		o := s.options()
+		for _, p := range s.Policies {
+			d, err := core.ParseDriver(p)
+			if err != nil {
+				return err
+			}
+			rs := core.RunSpec{Cfg: o.Cfg, Driver: d, Mode: o.Mode, Power: o.Power}
+			if _, err := rs.Validate(0); err != nil {
+				return err
+			}
+		}
 		if _, ok := workloads.ByName(s.Workload); !ok {
 			return fmt.Errorf("unknown workload %q", s.Workload)
 		}
 		if len(s.Threads) == 0 && len(s.Policies) == 0 {
 			return fmt.Errorf("empty job: no threads and no policies")
-		}
-		for _, p := range s.Policies {
-			if !experiments.ValidPolicyName(p) {
-				return fmt.Errorf("unknown policy %q", p)
-			}
-			if s.dvfs() {
-				switch strings.ToLower(strings.TrimSpace(p)) {
-				case "hillclimb", "hill-climb", "hybrid":
-					return fmt.Errorf("policy %q does not support a power budget or P-state ladder (its probes time real chunks at nominal frequency)", p)
-				}
-			}
 		}
 	case KindExperiment:
 		if s.Workload != "" || len(s.Policies) != 0 {
