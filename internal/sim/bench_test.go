@@ -13,16 +13,22 @@ import (
 //   - park-wake: a token passes around a ring of parked processes,
 //     the pattern of threads handing off a lock;
 //   - heap: processes advance by staggered delays, so every event goes
-//     through the future-event heap.
+//     through the future-event heap;
+//   - direct: one process advances alone, so every wait is the next
+//     dispatch and the process continues with no coroutine switch;
+//   - direct-mix: eight processes take turns running bursts of short
+//     advances; within a burst the waits are direct, and the long wait
+//     that ends it goes through the heap to the next process.
 //
 // One op is about one dispatched event; events/s counts them exactly.
 func BenchmarkEngineDispatch(b *testing.B) {
 	const procs = 64
 	for _, bc := range []struct {
-		name string
-		body func(e *Engine, rounds int)
+		name  string
+		procs int
+		body  func(e *Engine, rounds int)
 	}{
-		{"yield", func(e *Engine, rounds int) {
+		{"yield", procs, func(e *Engine, rounds int) {
 			for i := 0; i < procs; i++ {
 				e.Spawn(fmt.Sprintf("y%d", i), func(p *Proc) {
 					for r := 0; r < rounds; r++ {
@@ -31,7 +37,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 				})
 			}
 		}},
-		{"park-wake", func(e *Engine, rounds int) {
+		{"park-wake", procs, func(e *Engine, rounds int) {
 			ring := make([]*Proc, procs)
 			for i := range ring {
 				ring[i] = e.Spawn(fmt.Sprintf("r%d", i), func(p *Proc) {
@@ -48,7 +54,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 				})
 			}
 		}},
-		{"heap", func(e *Engine, rounds int) {
+		{"heap", procs, func(e *Engine, rounds int) {
 			for i := 0; i < procs; i++ {
 				e.Spawn(fmt.Sprintf("h%d", i), func(p *Proc) {
 					for r := 0; r < rounds; r++ {
@@ -57,9 +63,31 @@ func BenchmarkEngineDispatch(b *testing.B) {
 				})
 			}
 		}},
+		{"direct", 1, func(e *Engine, rounds int) {
+			e.Spawn("d", func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					p.Advance(1)
+				}
+			})
+		}},
+		{"direct-mix", 8, func(e *Engine, rounds int) {
+			const burst = 32 // cycles per turn
+			for i := 0; i < 8; i++ {
+				e.Spawn(fmt.Sprintf("m%d", i), func(p *Proc) {
+					p.Advance(uint64(i * burst)) // stagger the turns
+					for r := 1; r < rounds; r++ {
+						if r%burst != 0 {
+							p.Advance(1)
+						} else {
+							p.Advance(7*burst + 1) // sleep through the others' turns
+						}
+					}
+				})
+			}
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			rounds := b.N/procs + 1
+			rounds := b.N/bc.procs + 1
 			e := NewEngine()
 			bc.body(e, rounds)
 			b.ResetTimer()

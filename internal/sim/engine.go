@@ -19,10 +19,12 @@
 //
 // Each process runs as a coroutine (iter.Pull) that the engine resumes
 // directly, so a dispatch is one coroutine switch rather than a
-// goroutine handoff through the scheduler. One Engine simulates one
-// execution on the goroutine that calls Run; it is not safe for
-// concurrent use. Host-level parallelism belongs one layer up
-// (internal/runner), across independent engines.
+// goroutine handoff through the scheduler, or none when the waiter is
+// next: a process whose wait is the engine's next dispatch keeps
+// running (see WaitUntil). One Engine simulates one execution on the
+// goroutine that calls Run; it is not safe for concurrent use.
+// Host-level parallelism belongs one layer up (internal/runner),
+// across independent engines.
 package sim
 
 import (
@@ -56,7 +58,10 @@ type Engine struct {
 	// dispatched counts events delivered to processes over the
 	// engine's lifetime — the "simulator throughput" numerator.
 	dispatched uint64
-	live       map[*Proc]struct{}
+	// direct counts the dispatches WaitUntil made itself, with no
+	// coroutine switch; tests read it to pin which path ran.
+	direct uint64
+	live   map[*Proc]struct{}
 	// stepHook, when non-nil, is invoked before each event dispatch.
 	// Used by tests to observe scheduling order.
 	stepHook func(t uint64, p *Proc)
@@ -310,11 +315,29 @@ func (e *Engine) haltAll() {
 // Waiting for a time in the past (t <= now) re-queues the process at
 // the current time, which still yields to any already-pending events
 // at this cycle.
+//
+// When the wait would be the engine's very next dispatch — nothing
+// left at this cycle and nothing in the heap at or before t — the
+// process does the dispatch itself and keeps running: no coroutine
+// switch, same clock, event count, hook and trace as going through Run.
 func (p *Proc) WaitUntil(t uint64) {
-	if t < p.eng.now {
-		t = p.eng.now
+	e := p.eng
+	if t < e.now {
+		t = e.now
 	}
-	p.eng.schedule(t, p)
+	// A heap event at t itself does not qualify: it was scheduled
+	// earlier, so it wins the (t, seq) tie.
+	if e.curHead == len(e.cur) && (len(e.events) == 0 || e.events[0].t > t) {
+		if t != e.now {
+			e.cur = e.cur[:0]
+			e.curHead = 0
+			e.now = t
+		}
+		e.direct++
+		e.dispatch(p)
+		return
+	}
+	e.schedule(t, p)
 	p.yield()
 }
 
@@ -362,6 +385,21 @@ func (e *Engine) wake(q *Proc) {
 	e.schedule(e.now, q)
 }
 
+// dispatch accounts for delivering the current cycle's event to p:
+// the event count, the step hook and the trace instant. Run calls it
+// before resuming p; WaitUntil calls it when p continues directly.
+func (e *Engine) dispatch(p *Proc) {
+	e.dispatched++
+	if e.stepHook != nil {
+		e.stepHook(e.now, p)
+	}
+	if e.simTrace {
+		e.tracer.Emit(trace.CatSim, trace.Event{
+			Cycle: e.now, Track: p.track, Kind: trace.Instant, Name: "dispatch",
+		})
+	}
+}
+
 // Run dispatches events until none remain. It panics if live processes
 // remain parked with an empty event queue (model deadlock), naming the
 // stuck processes, and re-raises a panic from a process body with the
@@ -389,15 +427,7 @@ func (e *Engine) Run() {
 		if p.done {
 			continue
 		}
-		e.dispatched++
-		if e.stepHook != nil {
-			e.stepHook(e.now, p)
-		}
-		if e.simTrace {
-			e.tracer.Emit(trace.CatSim, trace.Event{
-				Cycle: e.now, Track: p.track, Kind: trace.Instant, Name: "dispatch",
-			})
-		}
+		e.dispatch(p)
 		cur = p
 		p.resume()
 		cur = nil

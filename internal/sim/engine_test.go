@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"fdt/internal/trace"
 )
 
 func TestSingleProcAdvances(t *testing.T) {
@@ -169,6 +171,110 @@ func TestYieldGivesWayToSameCycleEvents(t *testing.T) {
 	}
 }
 
+// A process whose wait is the engine's next dispatch keeps running
+// without a coroutine switch. Each case pins the dispatch order and
+// Events(), which must match the switching path exactly, and how many
+// of those dispatches took the direct path.
+func TestDirectContinuation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spawn  func(e *Engine)
+		order  string
+		direct uint64
+	}{
+		{"lone process advancing", func(e *Engine) {
+			e.Spawn("a", func(p *Proc) {
+				p.Advance(5)
+				p.Advance(3)
+				p.Advance(0)
+			})
+		}, "[a@0 a@5 a@8 a@8]", 3},
+		{"another process queued for the same future cycle runs first", func(e *Engine) {
+			e.Spawn("b", func(p *Proc) { p.Advance(10) })
+			e.Spawn("a", func(p *Proc) {
+				p.Advance(10) // ties with b at the heap top
+				p.Advance(1)
+			})
+		}, "[b@0 a@0 b@10 a@10 a@11]", 1},
+		{"yield with same-cycle events pending", func(e *Engine) {
+			e.Spawn("a", func(p *Proc) {
+				p.Yield() // b is still queued at cycle 0
+				p.Yield() // nothing is: a continues
+			})
+			e.Spawn("b", func(*Proc) {})
+		}, "[a@0 b@0 a@0 a@0]", 1},
+		{"woken process runs before the waker's advance", func(e *Engine) {
+			q := e.Spawn("q", func(p *Proc) { p.Park() })
+			e.Spawn("a", func(p *Proc) {
+				p.Advance(2)
+				p.Wake(q)
+				p.Advance(3)
+			})
+		}, "[q@0 a@0 a@2 q@2 a@5]", 1},
+		{"spawned process runs before the spawner's Advance(0)", func(e *Engine) {
+			e.Spawn("a", func(p *Proc) {
+				p.eng.Spawn("c", func(*Proc) {})
+				p.Advance(0)
+				p.Advance(0)
+			})
+		}, "[a@0 c@0 a@0 a@0]", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			var order []string
+			e.stepHook = func(now uint64, p *Proc) {
+				order = append(order, fmt.Sprintf("%s@%d", p.Name(), now))
+			}
+			tc.spawn(e)
+			e.Run()
+			if got := fmt.Sprint(order); got != tc.order {
+				t.Errorf("dispatch order = %s, want %s", got, tc.order)
+			}
+			if e.Events() != uint64(len(order)) {
+				t.Errorf("Events() = %d, want %d", e.Events(), len(order))
+			}
+			if e.direct != tc.direct {
+				t.Errorf("%d direct dispatches, want %d", e.direct, tc.direct)
+			}
+		})
+	}
+}
+
+// With CatSim on, a run whose dispatches are mostly direct still emits
+// exactly one "dispatch" instant per event, in cycle order, so Perfetto
+// traces and the trace-overhead probe count the same events as Run.
+func TestDirectDispatchesAreTraced(t *testing.T) {
+	e := NewEngine()
+	tr := trace.New(1<<16, trace.CatSim)
+	e.SetTracer(tr)
+	for i := 0; i < 4; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Advance(uint64(i) * 1000) // stagger the bursts
+			for r := 0; r < 500; r++ {
+				p.Advance(1)
+			}
+		})
+	}
+	e.Run()
+	if e.direct*10 < e.Events()*9 {
+		t.Fatalf("only %d of %d dispatches were direct; the test needs most of them", e.direct, e.Events())
+	}
+	var n, last uint64
+	for _, ev := range tr.Events() {
+		if ev.Name != "dispatch" {
+			continue
+		}
+		if ev.Cycle < last {
+			t.Fatalf("dispatch instant at cycle %d after one at %d", ev.Cycle, last)
+		}
+		last = ev.Cycle
+		n++
+	}
+	if n != e.Events() || tr.Dropped() != 0 {
+		t.Errorf("%d dispatch instants (%d dropped) for %d events", n, tr.Dropped(), e.Events())
+	}
+}
+
 func TestProcPanicPropagatesToRun(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -304,6 +410,23 @@ func TestFailedRunLeaksNoProcesses(t *testing.T) {
 			})
 			e.Spawn("late", func(p *Proc) { p.Advance(10) })
 		}, `sim: process "faulty" panicked: boom`},
+		{"process panic on the direct path", func(e *Engine, ran *bool) {
+			e.Spawn("queued", func(p *Proc) {
+				p.Advance(1 << 20)
+				*ran = true
+			})
+			// Every Advance is the engine's next dispatch, so "direct"
+			// never yields after its first dispatch.
+			e.Spawn("direct", func(p *Proc) {
+				for i := 0; i < 1000; i++ {
+					p.Advance(1)
+				}
+				if e.direct != 1000 {
+					panic(fmt.Sprintf("%d direct dispatches, want 1000", e.direct))
+				}
+				panic("boom")
+			})
+		}, `sim: process "direct" panicked: boom`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -321,7 +444,7 @@ func TestFailedRunLeaksNoProcesses(t *testing.T) {
 				t.Errorf("panic = %q, want prefix %q", msg, tc.want)
 			}
 			if ran {
-				t.Error("a stopped, never-dispatched process body ran")
+				t.Error("a stopped process body ran past its last dispatch")
 			}
 			if unwound != 8 {
 				t.Errorf("%d of 8 parked bodies unwound", unwound)

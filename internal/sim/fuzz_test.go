@@ -6,11 +6,13 @@ package sim
 // themselves on a wake list, and a master process that never parks
 // drains that list until every worker has finished — so any panic or
 // stuck run the fuzzer finds is an engine bug, not a bad program. The
-// kernel's contracts are then checked directly: dispatch times never
-// go backwards, and the same program replayed gives the identical
-// event count and final clock (determinism).
+// kernel's contracts are then checked directly: every dispatch goes to
+// the process holding the earliest pending wake, by (cycle, request
+// order), and the same program replayed gives the identical event
+// count and final clock (determinism).
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -36,30 +38,73 @@ func decodeProgram(data []byte) fuzzProgram {
 	return p
 }
 
+// wakeReq is a process's pending wake: the cycle it asked for and the
+// global order in which it asked. The engine's contract is to dispatch
+// pending wakes in (t, order) order, whichever internal path it takes.
+type wakeReq struct{ t, order uint64 }
+
+func (a wakeReq) before(b wakeReq) bool {
+	return a.t < b.t || a.t == b.t && a.order < b.order
+}
+
 // runProgram executes the decoded program on a fresh engine and
 // returns (events dispatched, final clock).
 func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
 	t.Helper()
 	e := NewEngine()
 
+	// The oracle: each process records its requested wake before every
+	// Advance, Yield and Wake, and stepHook checks that the dispatched
+	// process holds the minimum. Every wake must be dispatched exactly
+	// once, and Events must count each. The hook may run on a process's
+	// coroutine, so it records the first violation instead of failing.
+	pending := make(map[*Proc]wakeReq)
+	var order uint64
+	var violation string
+	request := func(q *Proc, at uint64) {
+		if w, ok := pending[q]; ok && violation == "" {
+			violation = fmt.Sprintf("%s asked again before its wake %+v was dispatched", q.Name(), w)
+		}
+		order++
+		pending[q] = wakeReq{at, order}
+	}
 	var lastDispatch uint64
-	e.stepHook = func(now uint64, _ *Proc) {
-		if now < lastDispatch {
-			t.Fatalf("dispatch time went backwards: %d after %d", now, lastDispatch)
+	e.stepHook = func(now uint64, q *Proc) {
+		got, ok := pending[q]
+		delete(pending, q)
+		if violation != "" {
+			return
+		}
+		switch {
+		case now < lastDispatch:
+			violation = fmt.Sprintf("dispatch time went backwards: %d after %d", now, lastDispatch)
+		case !ok:
+			violation = fmt.Sprintf("dispatched %s at %d with no pending wake", q.Name(), now)
+		case got.t != now:
+			violation = fmt.Sprintf("dispatched %s at %d, it asked for %d", q.Name(), now, got.t)
 		}
 		lastDispatch = now
+		for r, w := range pending {
+			if violation == "" && w.before(got) {
+				violation = fmt.Sprintf("dispatched %s %+v at %d ahead of %s %+v",
+					q.Name(), got, now, r.Name(), w)
+			}
+		}
 	}
 
 	done := 0
 	var wantWake []*Proc
 	for w := 0; w < p.workers; w++ {
 		ops := p.ops[w]
-		e.Spawn("worker", func(proc *Proc) {
+		q := e.Spawn(fmt.Sprintf("worker%d", w), func(proc *Proc) {
 			for _, b := range ops {
 				switch b % 4 {
 				case 0:
-					proc.Advance(1 + uint64(b)/4)
+					d := 1 + uint64(b)/4
+					request(proc, proc.Now()+d)
+					proc.Advance(d)
 				case 1:
+					request(proc, proc.Now())
 					proc.Yield()
 				case 2:
 					// Enqueue-then-park is atomic w.r.t. the
@@ -69,26 +114,40 @@ func runProgram(t *testing.T, p fuzzProgram) (uint64, uint64) {
 					wantWake = append(wantWake, proc)
 					proc.Park()
 				case 3:
-					proc.Advance(uint64(b) * 97)
+					d := uint64(b) * 97
+					request(proc, proc.Now()+d)
+					proc.Advance(d)
 				}
 			}
 			done++
 		})
+		request(q, 0)
 	}
-	e.Spawn("master", func(proc *Proc) {
+	m := e.Spawn("master", func(proc *Proc) {
 		for done < p.workers {
 			if len(wantWake) > 0 {
 				q := wantWake[0]
 				wantWake = wantWake[1:]
+				request(q, proc.Now())
 				proc.Wake(q)
+				request(proc, proc.Now())
 				proc.Yield()
 				continue
 			}
+			request(proc, proc.Now()+1)
 			proc.Advance(1)
 		}
 	})
+	request(m, 0)
 	e.Run()
 
+	if violation != "" {
+		t.Fatal(violation)
+	}
+	if len(pending) != 0 || e.Events() != order {
+		t.Fatalf("%d wakes requested, %d dispatched, %d never dispatched",
+			order, e.Events(), len(pending))
+	}
 	if done != p.workers {
 		t.Fatalf("%d of %d workers finished", done, p.workers)
 	}
