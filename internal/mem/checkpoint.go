@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"fdt/internal/sim"
 )
@@ -68,18 +69,34 @@ type DirEntryState struct {
 
 // State captures the directory's entry table.
 func (d *Directory) State() map[uint64]DirEntryState {
-	st := make(map[uint64]DirEntryState, len(d.entries))
-	for line, e := range d.entries {
-		st[line] = DirEntryState{Sharers: e.sharers, Owner: e.owner, Modified: e.modified}
-	}
+	st := make(map[uint64]DirEntryState, d.n)
+	d.ForEach(func(line, sharers uint64, owner int, modified bool) {
+		st[line] = DirEntryState{Sharers: sharers, Owner: owner, Modified: modified}
+	})
 	return st
 }
 
 // Restore overwrites the directory's entry table from a checkpoint.
+// Entries are inserted in ascending line order, so the restored
+// table, and with it the ForEach walk, is the same on every restore.
+// An entry with no sharers or an owner outside the sharer mask's
+// width cannot exist in a live directory and panics.
 func (d *Directory) Restore(st map[uint64]DirEntryState) {
-	d.entries = make(map[uint64]dirEntry, len(st))
+	lines := make([]uint64, 0, len(st))
 	for line, e := range st {
-		d.entries[line] = dirEntry{sharers: e.Sharers, owner: e.Owner, modified: e.Modified}
+		if e.Sharers == 0 || e.Owner < 0 || e.Owner >= maxCores {
+			panic(fmt.Sprintf("mem: restoring malformed directory entry for line %#x: sharers %#b, owner %d",
+				line, e.Sharers, e.Owner))
+		}
+		lines = append(lines, line)
+	}
+	slices.Sort(lines)
+	d.slots, d.n, d.shift = nil, 0, 0
+	for _, line := range lines {
+		e := st[line]
+		i, _ := d.find(line)
+		i = d.insertAt(i, line)
+		d.slots[i] = dirSlot{line: line, sharers: e.Sharers, owner: int32(e.Owner), modified: e.Modified}
 	}
 }
 

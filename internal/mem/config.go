@@ -7,6 +7,10 @@ package mem
 
 import "fmt"
 
+// maxCores is the most cores the directory can track: its sharer
+// set is one bit per core in a uint64.
+const maxCores = 64
+
 // Config describes the machine's memory system. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
@@ -121,6 +125,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fmt.Errorf("mem: Cores = %d, want > 0", c.Cores)
+	case c.Cores > maxCores:
+		return fmt.Errorf("mem: Cores = %d, want at most %d (the width of the directory's sharer bitmask)", c.Cores, maxCores)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("mem: LineBytes = %d, want power of two", c.LineBytes)
 	case c.L1Bytes < c.LineBytes*c.L1Ways || c.L1Ways <= 0:

@@ -75,9 +75,6 @@ func NewSystem(cfg Config, ctrs *counters.Set) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Cores > 64 {
-		return nil, fmt.Errorf("mem: directory sharer bitmask supports at most 64 cores, got %d", cfg.Cores)
-	}
 	s := &System{
 		Cfg:        cfg,
 		Ctrs:       ctrs,
@@ -209,15 +206,8 @@ func (s *System) checkCoherence() {
 			if !dirty {
 				return
 			}
-			mod, owner := s.Dir.IsModified(line)
-			listed := false
-			for _, sc := range s.Dir.Sharers(line) {
-				if sc == c {
-					listed = true
-					break
-				}
-			}
-			if !listed {
+			sharers, owner, mod := s.Dir.entry(line)
+			if sharers&(1<<uint(c)) == 0 {
 				// Transient stale copy from a concurrent write miss —
 				// tolerated (see doc comment above).
 				return

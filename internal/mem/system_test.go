@@ -1,9 +1,11 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 
 	"fdt/internal/counters"
+	"fdt/internal/invariant"
 	"fdt/internal/sim"
 )
 
@@ -38,6 +40,18 @@ func TestConfigValidate(t *testing.T) {
 	bad.LineBytes = 48
 	if bad.Validate() == nil {
 		t.Error("non-power-of-two line size accepted")
+	}
+	bad = DefaultConfig()
+	bad.Cores = 72 // a multiple of L3Banks, but wider than the sharer mask
+	if bad.Validate() == nil {
+		t.Error("72 cores accepted")
+	}
+	if _, err := NewSystem(bad, counters.NewSet()); err == nil {
+		t.Error("NewSystem built 72 cores")
+	}
+	bad.Cores = 64
+	if err := bad.Validate(); err != nil {
+		t.Errorf("64 cores rejected: %v", err)
 	}
 }
 
@@ -273,5 +287,50 @@ func TestTooManyCoresRejected(t *testing.T) {
 	cfg.L3Banks = 8
 	if _, err := NewSystem(cfg, counters.NewSet()); err == nil {
 		t.Error("128-core config accepted despite 64-bit sharer mask")
+	}
+}
+
+// TestCoherenceWalkDeterministic breaks the same coherence state twice
+// — eight cores read and write a shared region, then every private
+// line is invalidated behind the directory's back — and requires the
+// quiescent walk to report identical violation lists. Far more lines
+// break than the checker stores, so the list depends on the order the
+// walk visits directory entries.
+func TestCoherenceWalkDeterministic(t *testing.T) {
+	walk := func() []invariant.Violation {
+		s, e, _ := testSystem(t)
+		ck := invariant.New()
+		s.SetChecker(ck)
+		base := s.Alloc(64 * 512)
+		run(e, func(p *sim.Proc) {
+			for c := 0; c < 8; c++ {
+				for i := 0; i < 512; i += 1 + c%3 {
+					addr := base + uint64(64*i)
+					if (i+c)%5 == 0 {
+						s.Port(c).Store(p, addr)
+					} else {
+						s.Port(c).Load(p, addr)
+					}
+				}
+			}
+		})
+		for c := 0; c < 8; c++ {
+			l1, l2 := s.Port(c).L1(), s.Port(c).L2()
+			var held []uint64
+			l2.ForEachLine(func(line uint64, _ bool) { held = append(held, line) })
+			for _, line := range held {
+				l1.Invalidate(line)
+				l2.Invalidate(line)
+			}
+		}
+		s.FinishCheck(e.Now())
+		if ck.Truncated() == 0 {
+			t.Fatalf("only %d violations: the walk order is not exercised", len(ck.Violations()))
+		}
+		return ck.Violations()
+	}
+	first, second := walk(), walk()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("the same broken state reported different violations:\n%v\n%v", first[:3], second[:3])
 	}
 }

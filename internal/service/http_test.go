@@ -140,6 +140,19 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("cores 21: status %d body %q, want 400 naming L3Banks", resp.StatusCode, body)
 	}
 
+	// More cores than the directory's sharer mask can track -> 400,
+	// checked before any machine is built.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"ed","threads":[1],"cores":128}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "at most 64") {
+		t.Errorf("cores 128: status %d body %q, want 400 naming the 64-core limit", resp.StatusCode, body)
+	}
+
 	// Unknown field -> 400 (spec typos must not silently no-op).
 	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"workload":"pagemine","treads":[1]}`))

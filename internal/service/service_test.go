@@ -114,6 +114,10 @@ func TestSpecValidation(t *testing.T) {
 		{Workload: "pagemine", Threads: []int{1}, Policies: []string{"nosuch"}},
 		{Workload: "pagemine", Threads: []int{99}, Cores: 8},
 		{Workload: "pagemine", Threads: []int{1}, Cores: 21}, // not a multiple of L3Banks
+		// Wider than the directory's 64-bit sharer mask.
+		{Workload: "pagemine", Threads: []int{1}, Cores: 72},
+		{Workload: "pagemine", Threads: []int{1}, Cores: 128},
+		{Workload: "pagemine", Threads: []int{1}, Cores: 1 << 20},
 		{Experiment: "nosuchfig"},
 		{Experiment: "fig2", Workload: "pagemine"},
 		{Kind: "weird", Workload: "pagemine", Threads: []int{1}},

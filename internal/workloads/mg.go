@@ -101,20 +101,7 @@ func (w *MG) buildKernel() {
 			{
 				slabs: mgCoarseSlabs,
 				run: func(tc *thread.Ctx, s int) {
-					coarseSlab(tc, s, func(lo, hi int) {
-						for c := lo; c < hi; c++ {
-							x, y, z := c/(dc*dc), c/dc%dc, c%dc
-							sum := 0.0
-							for ox := 0; ox < 2; ox++ {
-								for oy := 0; oy < 2; oy++ {
-									for oz := 0; oz < 2; oz++ {
-										sum += w.fine[idx3(2*x+ox, 2*y+oy, 2*z+oz, d)]
-									}
-								}
-							}
-							w.coarse[c] = sum / 8
-						}
-					})
+					coarseSlab(tc, s, func(lo, hi int) { restrict(w.fine, w.coarse, d, lo, hi) })
 				},
 			},
 			{
@@ -127,12 +114,7 @@ func (w *MG) buildKernel() {
 			{
 				slabs: mgFineSlabs,
 				run: func(tc *thread.Ctx, s int) {
-					fineSlab(tc, s, func(lo, hi int) {
-						for c := lo; c < hi; c++ {
-							x, y, z := c/(d*d), c/d%d, c%d
-							w.fine[c] = 0.75*w.fine[c] + 0.25*w.coarse[idx3(x/2, y/2, z/2, dc)]
-						}
-					})
+					fineSlab(tc, s, func(lo, hi int) { prolongate(w.fine, w.coarse, d, lo, hi) })
 				},
 			},
 		},
@@ -157,20 +139,80 @@ func (w *MG) Name() string { return "mg" }
 // Kernels implements core.Workload.
 func (w *MG) Kernels() []core.Kernel { return []core.Kernel{w.kernel} }
 
-func idx3(x, y, z, d int) int {
-	x, y, z = (x+d)%d, (y+d)%d, (z+d)%d
-	return (x*d+y)*d + z
+// coords3 splits linear index c of a d-edged grid into (x, y, z).
+func coords3(c, d int) (x, y, z int) {
+	return c / (d * d), c / d % d, c % d
+}
+
+// next3 steps (x, y, z) to the following linear index.
+func next3(x, y, z, d int) (int, int, int) {
+	if z++; z == d {
+		z = 0
+		if y++; y == d {
+			y = 0
+			x++
+		}
+	}
+	return x, y, z
+}
+
+// torusSteps returns the index offsets from coordinate v (of an edge
+// of d points laid out at stride st) to its -1 and +1 neighbours,
+// wrapping around the grid's periodic boundary.
+func torusSteps(v, d, st int) (down, up int) {
+	down, up = -st, st
+	if v == 0 {
+		down = (d - 1) * st
+	}
+	if v == d-1 {
+		up = -(d - 1) * st
+	}
+	return down, up
 }
 
 // smooth performs one Jacobi smoothing step of src into dst over the
-// block [lo, hi) of a d-edged grid.
+// block [lo, hi) of a d-edged periodic grid.
 func smooth(src, dst []float64, d, lo, hi int) {
+	dd := d * d
+	x, y, z := coords3(lo, d)
 	for c := lo; c < hi; c++ {
-		x, y, z := c/(d*d), c/d%d, c%d
-		sum := src[idx3(x-1, y, z, d)] + src[idx3(x+1, y, z, d)] +
-			src[idx3(x, y-1, z, d)] + src[idx3(x, y+1, z, d)] +
-			src[idx3(x, y, z-1, d)] + src[idx3(x, y, z+1, d)]
+		xd, xu := torusSteps(x, d, dd)
+		yd, yu := torusSteps(y, d, d)
+		zd, zu := torusSteps(z, d, 1)
+		sum := src[c+xd] + src[c+xu] +
+			src[c+yd] + src[c+yu] +
+			src[c+zd] + src[c+zu]
 		dst[c] = 0.5*src[c] + sum/12
+		x, y, z = next3(x, y, z, d)
+	}
+}
+
+// restrict averages each 2x2x2 block of the d-edged fine grid into
+// coarse points [lo, hi) of the d/2-edged coarse grid.
+func restrict(fine, coarse []float64, d, lo, hi int) {
+	dc := d / 2
+	x, y, z := coords3(lo, dc)
+	for c := lo; c < hi; c++ {
+		sum := 0.0
+		for ox := 0; ox < 2; ox++ {
+			for oy := 0; oy < 2; oy++ {
+				row := ((2*x+ox)*d+2*y+oy)*d + 2*z
+				sum += fine[row]
+				sum += fine[row+1]
+			}
+		}
+		coarse[c] = sum / 8
+		x, y, z = next3(x, y, z, dc)
+	}
+}
+
+// prolongate blends the coarse correction into fine points [lo, hi).
+func prolongate(fine, coarse []float64, d, lo, hi int) {
+	dc := d / 2
+	x, y, z := coords3(lo, d)
+	for c := lo; c < hi; c++ {
+		fine[c] = 0.75*fine[c] + 0.25*coarse[(x/2*dc+y/2)*dc+z/2]
+		x, y, z = next3(x, y, z, d)
 	}
 }
 
@@ -193,24 +235,10 @@ func (w *MG) Verify() error {
 	for cyc := 0; cyc < ref.p.Cycles; cyc++ {
 		smooth(ref.fine, ref.fineNext, d, 0, nf)
 		ref.fine, ref.fineNext = ref.fineNext, ref.fine
-		for c := 0; c < nc; c++ {
-			x, y, z := c/(dc*dc), c/dc%dc, c%dc
-			sum := 0.0
-			for ox := 0; ox < 2; ox++ {
-				for oy := 0; oy < 2; oy++ {
-					for oz := 0; oz < 2; oz++ {
-						sum += ref.fine[idx3(2*x+ox, 2*y+oy, 2*z+oz, d)]
-					}
-				}
-			}
-			ref.coarse[c] = sum / 8
-		}
+		restrict(ref.fine, ref.coarse, d, 0, nc)
 		smooth(ref.coarse, ref.coarseNext, dc, 0, nc)
 		ref.coarse, ref.coarseNext = ref.coarseNext, ref.coarse
-		for c := 0; c < nf; c++ {
-			x, y, z := c/(d*d), c/d%d, c%d
-			ref.fine[c] = 0.75*ref.fine[c] + 0.25*ref.coarse[idx3(x/2, y/2, z/2, dc)]
-		}
+		prolongate(ref.fine, ref.coarse, d, 0, nf)
 	}
 	want, got := ref.Checksum(), w.Checksum()
 	if math.Abs(want-got) > 1e-9*math.Abs(want) {

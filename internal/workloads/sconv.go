@@ -54,6 +54,9 @@ func DefaultSConvParams() SConvParams {
 // normalized Gaussian kernel.
 func NewSConv(m *machine.Machine, p SConvParams) *SConv {
 	mustMachine(m, "sconv")
+	if p.Radius < 0 || p.Radius > p.Size {
+		panic("sconv: Radius must lie in [0, Size] for the edge wrap")
+	}
 	w := &SConv{m: m, p: p}
 	n := p.Size * p.Size
 	w.img = make([]float32, n)
@@ -122,34 +125,60 @@ func (w *SConv) Name() string { return "sconv" }
 // Kernels implements core.Workload.
 func (w *SConv) Kernels() []core.Kernel { return []core.Kernel{w.kernel} }
 
-func (w *SConv) at(x, y int) int {
-	s := w.p.Size
-	x, y = (x+s)%s, (y+s)%s
-	return y*s + x
+// wrap folds x in [-s, 2s) onto [0, s), the torus the filter reads
+// around the image edges; on that range it equals (x+s)%s.
+func wrap(x, s int) int {
+	if x < 0 {
+		return x + s
+	}
+	if x >= s {
+		return x - s
+	}
+	return x
 }
 
-// rowPass convolves rows [lo, hi) of img into tmp.
+// rowPass convolves rows [lo, hi) of img into tmp. Pixels whose
+// window lies inside the row read it as one slice; the edge pixels
+// wrap each tap. Both walk the taps in the same order, so every sum
+// rounds alike.
 func (w *SConv) rowPass(lo, hi int) {
-	s, r := w.p.Size, w.p.Radius
+	s, r, taps := w.p.Size, w.p.Radius, w.kernelTaps
 	for y := lo; y < hi; y++ {
-		for x := 0; x < s; x++ {
+		row, out := w.img[y*s:(y+1)*s], w.tmp[y*s:(y+1)*s]
+		for x := range out {
 			var acc float32
-			for k := -r; k <= r; k++ {
-				acc += w.kernelTaps[k+r] * w.img[w.at(x+k, y)]
+			if x >= r && x+r < s {
+				win := row[x-r : x+r+1]
+				for j, t := range taps {
+					acc += t * win[j]
+				}
+			} else {
+				for j, t := range taps {
+					acc += t * row[wrap(x+j-r, s)]
+				}
 			}
-			w.tmp[y*s+x] = acc
+			out[x] = acc
 		}
 	}
 }
 
-// colPass convolves columns [lo, hi) of tmp into out.
+// colPass convolves columns [lo, hi) of tmp into out, with the same
+// interior/edge split as rowPass.
 func (w *SConv) colPass(lo, hi int) {
-	s, r := w.p.Size, w.p.Radius
+	s, r, taps := w.p.Size, w.p.Radius, w.kernelTaps
 	for x := lo; x < hi; x++ {
 		for y := 0; y < s; y++ {
 			var acc float32
-			for k := -r; k <= r; k++ {
-				acc += w.kernelTaps[k+r] * w.tmp[w.at(x, y+k)]
+			if y >= r && y+r < s {
+				i := (y-r)*s + x
+				for _, t := range taps {
+					acc += t * w.tmp[i]
+					i += s
+				}
+			} else {
+				for j, t := range taps {
+					acc += t * w.tmp[wrap(y+j-r, s)*s+x]
+				}
 			}
 			w.out[y*s+x] = acc
 		}
